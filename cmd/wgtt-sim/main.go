@@ -6,6 +6,7 @@
 //	wgtt-sim -scheme 11r -mph 25 -workload tcp -series
 //	wgtt-sim -segments 8x7.5,8x7.5,8x7.5 -mph 25 -workload tcp
 //	wgtt-sim -segments 8x7.5,8x7.5,8x7.5 -parallel-segments -workload udp
+//	wgtt-sim -segments 4x7.5,4x7.5 -parallel-segments -flight-recorder 512
 package main
 
 import (
@@ -85,10 +86,8 @@ func main() {
 		workloadN = flag.String("workload", "udp", "udp | tcp | video | web | conference")
 		rate      = flag.Float64("rate", 30, "UDP offered load, Mbit/s")
 		series    = flag.Bool("series", false, "print 100 ms throughput series for client 0")
-		traceKind = flag.String("trace-kind", "", "filter -trace output by kind: dl | ul | sw | ctl | drop (empty = all)")
-		traceNode = flag.String("trace-node", "", "filter -trace output to events whose node contains this substring")
 		traceOut  = flag.String("trace-out", "",
-			"write the stitched flight-recorder timeline as Chrome trace_event JSON to this file (\"-\" = stdout); enables -flight-recorder 4096 when unset")
+			"write the stitched flight-recorder timeline as Chrome trace_event JSON to this file (\"-\" = stdout) instead of the text dump; enables -flight-recorder 4096 when unset")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -112,11 +111,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	kindFilter, err := trace.ParseKind(*traceKind)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *scenarioPath != "" || *genScenario != "" {
 		if *scenarioPath != "" && *genScenario != "" {
 			fmt.Fprintln(os.Stderr, "-scenario and -gen-scenario are mutually exclusive")
@@ -269,9 +263,9 @@ func main() {
 				rel, abandoned, releases, outage, random, len(n.LostClients()))
 		}
 	}
-	if opts.Trace > 0 && n.Trace != nil {
-		fmt.Println("\nevent trace (most recent):")
-		_ = trace.DumpEvents(os.Stdout, n.Trace.Filter(kindFilter, *traceNode))
+	if *traceOut == "" && cfg.FlightRecorder > 0 {
+		fmt.Println("\nflight-recorder records (stitched):")
+		_ = trace.DumpRecords(os.Stdout, n.FlightRecords())
 	}
 	if *traceOut != "" {
 		out := os.Stdout

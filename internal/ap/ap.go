@@ -113,11 +113,10 @@ type AP struct {
 	cfg    Config
 	rng    *sim.RNG
 
-	// Trace, when set, receives stop/start/drop events.
-	Trace *trace.Log
 	// Rec, when set, is the domain's flight recorder: the AP writes its
 	// stop/start protocol steps into it under the causal trace id the
-	// controller's Stop/Start delivery carried.
+	// controller's Stop/Start delivery carried, and its retry-limit
+	// drops under whatever id is active.
 	Rec *trace.Recorder
 
 	// met holds telemetry handles resolved once by SetTelemetry; all
@@ -305,7 +304,6 @@ func (a *AP) onStop(m *packet.Stop) {
 	a.StopsHandled++
 	a.met.stops.Inc()
 	cs.serving = false
-	a.Trace.Addf(a.loop.Now(), trace.Control, a.node.Name, "stop #%d %s", m.SwitchID, m.Client)
 	newAP := int32(m.NewAPID)
 	if m.NewAPID == packet.RemoteAPID {
 		newAP = -1
@@ -335,7 +333,6 @@ func (a *AP) onStop(m *packet.Stop) {
 			// remaining backlog up the backhaul so the next segment's
 			// APs can buffer it. The Start rides the control class and
 			// overtakes the drained data frames.
-			a.Trace.Addf(a.loop.Now(), trace.Control, a.node.Name, "start #%d k=%d -> remote", m.SwitchID, k)
 			a.spans.MarkStart(m.SwitchID, a.loop.Now())
 			a.Rec.Record(trace.Record{At: a.loop.Now(), Trace: a.loop.Trace(), SwitchID: m.SwitchID,
 				Node: int16(a.ID), Op: trace.OpStart, Client: m.Client, A: int32(k), B: -1})
@@ -350,7 +347,6 @@ func (a *AP) onStop(m *packet.Stop) {
 					break
 				}
 				a.met.fwdBytes.Add(int64(p.WireLen()))
-				a.spans.AddForwarded(m.SwitchID, int64(p.WireLen()))
 				a.bh.Send(a.self, a.fabric.Controller(), &packet.DownlinkData{
 					Client: m.Client,
 					Inner:  p,
@@ -358,7 +354,6 @@ func (a *AP) onStop(m *packet.Stop) {
 			}
 			return
 		}
-		a.Trace.Addf(a.loop.Now(), trace.Control, a.node.Name, "start #%d k=%d -> ap%d", m.SwitchID, k, m.NewAPID)
 		a.spans.MarkStart(m.SwitchID, a.loop.Now())
 		a.Rec.Record(trace.Record{At: a.loop.Now(), Trace: a.loop.Trace(), SwitchID: m.SwitchID,
 			Node: int16(a.ID), Op: trace.OpStart, Client: m.Client, A: int32(k), B: int32(m.NewAPID)})
@@ -501,7 +496,8 @@ func (a *AP) finishAggregate(aw *awaitBA, ba mac.BAInfo) {
 	res := aw.client.agg.ProcessBA(aw.sent, ba)
 	if n := len(res.DroppedPkts); n > 0 {
 		a.met.mpdusDrop.Add(int64(n))
-		a.Trace.Addf(a.loop.Now(), trace.Drop, a.node.Name, "%d MPDUs exceeded retry limit", n)
+		a.Rec.Record(trace.Record{At: a.loop.Now(), Trace: a.loop.Trace(),
+			Node: int16(a.ID), Op: trace.OpDrop, Client: aw.client.addr, A: int32(n)})
 	}
 	aw.client.rates.Feedback(a.loop.Now(), aw.rate, len(aw.sent), res.AckedCount)
 	// If the client was stopped while this aggregate flew, its retries

@@ -87,6 +87,9 @@ type Net struct {
 	loop  *sim.Loop
 	cfg   Config
 	nodes map[NodeID]*node
+	// order lists node ids in attach order, so Broadcast queues its
+	// copies deterministically.
+	order []NodeID
 
 	// Stats.
 	sent      int
@@ -161,6 +164,7 @@ func (n *Net) AddNode(id NodeID, h Handler) {
 	if _, dup := n.nodes[id]; dup {
 		panic(fmt.Sprintf("backhaul: duplicate node %d", id))
 	}
+	n.order = append(n.order, id)
 	n.nodes[id] = &node{
 		handler: h,
 		control: queue.NewFIFO[*frame](n.cfg.QueueFrames),
@@ -257,9 +261,10 @@ func (n *Net) handlerFor(dst *node) Handler {
 	return dst.handler
 }
 
-// Broadcast sends msg from one node to every other attached node.
+// Broadcast sends msg from one node to every other attached node, in
+// attach order.
 func (n *Net) Broadcast(from NodeID, msg packet.Message) {
-	for id := range n.nodes {
+	for _, id := range n.order {
 		if id != from {
 			n.Send(from, id, msg)
 		}

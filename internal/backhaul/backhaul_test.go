@@ -138,6 +138,33 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
+// TestBroadcastAttachOrder: Broadcast queues its copies in AddNode
+// order, so every broadcast delivers to the other nodes in that order.
+func TestBroadcastAttachOrder(t *testing.T) {
+	loop := sim.NewLoop()
+	net := New(loop, DefaultConfig())
+	const sender = NodeID(0)
+	net.AddNode(sender, nil)
+	want := []NodeID{7, 3, 12, 1, 9, 4, 15, 2}
+	var got []NodeID
+	for _, id := range want {
+		net.AddNode(id, func(NodeID, packet.Message) { got = append(got, id) })
+	}
+	for round := 0; round < 20; round++ {
+		got = got[:0]
+		net.Broadcast(sender, &packet.AssocState{State: packet.StateAssociated})
+		loop.RunFor(10 * sim.Millisecond)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: delivered to %v, want %v", round, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: delivery order %v, want attach order %v", round, got, want)
+			}
+		}
+	}
+}
+
 func TestUnknownDestinationDropped(t *testing.T) {
 	loop := sim.NewLoop()
 	net := New(loop, DefaultConfig())

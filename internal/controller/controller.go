@@ -7,6 +7,8 @@
 package controller
 
 import (
+	"math"
+
 	"wgtt/internal/backhaul"
 	"wgtt/internal/csi"
 	"wgtt/internal/federation"
@@ -153,8 +155,6 @@ type Controller struct {
 	peers  []Peer
 	fed    *federation.Node
 
-	// Trace, when set, receives switch-protocol events.
-	Trace *trace.Log
 	// Rec, when set, is the domain's flight recorder: the controller
 	// writes structured switch-protocol records into it and originates
 	// the causal trace ids that thread a handoff's events together.
@@ -469,15 +469,13 @@ func (c *Controller) issueSwitch(cs *clientState, to int) {
 		// rule SwitchLatencies applies.
 		c.spans.Begin(sw.id, c.loop.Now(), c.traceAP(sw.from), c.traceAP(sw.to))
 	}
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "issue #%d %s ap%d->ap%d",
-		sw.id, cs.addr, c.traceAP(sw.from), c.traceAP(sw.to))
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpIssue, Client: cs.addr,
 		A: int32(c.traceAP(sw.from)), B: int32(c.traceAP(sw.to))})
 	c.sendStop(cs, sw)
 }
 
-// traceAP renders a local AP index as its global id for trace lines (-1
+// traceAP renders a local AP index as its global id for trace records (-1
 // stays -1).
 func (c *Controller) traceAP(local int) int {
 	if local < 0 {
@@ -556,7 +554,7 @@ func (c *Controller) stopTimeout(cs *clientState, sw *switchState) {
 		c.met.switchAbandoned.Inc()
 		c.spans.Drop(sw.id)
 		c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
-			Node: -1, Op: trace.OpAbandon, Client: cs.addr, A: int32(sw.retries)})
+			Node: -1, Op: trace.OpAbandon, Client: cs.addr, A: int32(sw.retries), B: -1})
 		// An abandoned cross-segment handoff re-admits the downlink
 		// packets held while the stop was in flight (stamped backlog
 		// re-fans as-is).
@@ -589,7 +587,6 @@ func (c *Controller) onSwitchAck(m *packet.SwitchAck) {
 	cs.sw = nil
 	c.SwitchesAcked++
 	c.met.switchesAcked.Inc()
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "ack #%d now ap%d", sw.id, m.APID)
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpAck, Client: cs.addr, A: int32(m.APID)})
 	if sw.from >= 0 {
@@ -687,12 +684,11 @@ func (c *Controller) maybeClaim(cs *clientState) {
 	cs.lastClaim, cs.everClaim = now, true
 	c.HandoffClaims++
 	c.met.handoffClaims.Inc()
-	c.Trace.Addf(now, trace.Switch, "ctrl", "claim %s score %.1f dB", cs.addr, best)
 	// Claims precede any switch transaction, so there is no trace id
 	// yet; the record rides whatever causal context is active (usually
 	// none) and shows up as a standalone instant.
 	c.Rec.Record(trace.Record{At: now, Trace: c.loop.Trace(), Node: -1,
-		Op: trace.OpClaim, Client: cs.addr, A: int32(best)})
+		Op: trace.OpClaim, Client: cs.addr, A: int32(math.Round(best * 10))})
 	if c.fed != nil {
 		c.fed.Claim(cs.addr, best)
 		return
@@ -718,7 +714,8 @@ func (c *Controller) OnTrunk(peer int, msg packet.Message) {
 		case packet.HandoffExport:
 			c.importClient(peer, m)
 		case packet.HandoffAck:
-			c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "handoff ack #%d %s", m.SwitchID, m.Client)
+			c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.loop.Trace(), SwitchID: m.SwitchID,
+				Node: -1, Op: trace.OpPeerAck, Client: m.Client, A: int32(peer)})
 		}
 	case *packet.DownlinkData:
 		if cs := c.clients[m.Client]; cs != nil && cs.owned {
@@ -763,8 +760,6 @@ func (c *Controller) onClaim(peer int, m *packet.Handoff) {
 		// dropped at export, keeping begun/completed/dropped balanced.
 		c.spans.Begin(sw.id, now, c.traceAP(sw.from), -1)
 	}
-	c.Trace.Addf(now, trace.Switch, "ctrl", "handoff #%d %s ap%d->peer%d (score %.1f)",
-		sw.id, cs.addr, c.traceAP(sw.from), peer, m.Score)
 	c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpIssue, Client: cs.addr, A: int32(c.traceAP(sw.from)), B: -1})
 	if cs.serving < 0 {
@@ -817,7 +812,6 @@ func (c *Controller) exportTo(cs *clientState, sw *switchState, k uint16) {
 	c.HandoffsExported++
 	c.met.handoffExports.Inc()
 	c.spans.Drop(sw.id)
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "export #%d %s k=%d -> peer%d", sw.id, cs.addr, k, peer)
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpExport, Client: cs.addr, A: int32(len(sw.held)), B: int32(peer)})
 }
@@ -872,7 +866,6 @@ func (c *Controller) importClient(peer int, m *packet.Handoff) {
 	cs.importedAt, cs.everImport = c.loop.Now(), true
 	c.HandoffsImported++
 	c.met.handoffImports.Inc()
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "import #%d %s k=%d", m.SwitchID, m.Client, m.Index)
 	// The trunk envelope carried the exporter's trace id across the
 	// boundary; the import stitches onto that timeline.
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.loop.Trace(), SwitchID: m.SwitchID,

@@ -157,15 +157,11 @@ type Config struct {
 	Client     client.Config
 	Backhaul   backhaul.Config
 
-	// TraceCapacity, when positive, enables the tcpdump-style event log
-	// (Network.Trace) retaining this many most-recent events.
-	TraceCapacity int
-
-	// FlightRecorder, when positive, enables the causal flight recorder:
-	// one fixed ring of this many structured switch-protocol records per
-	// domain shard (internal/trace.Recorder). Unlike TraceCapacity it is
-	// legal in every domain mode — each domain records into its own
-	// ring — and it never perturbs the event schedule.
+	// FlightRecorder, when positive, enables the causal flight recorder,
+	// the one switch-protocol trace: a fixed ring of this many structured
+	// records per domain shard (internal/trace.Recorder). It works in
+	// every domain mode — each domain records into its own ring — and
+	// it never perturbs the event schedule.
 	FlightRecorder int
 	// HandoffBandLoMs/HandoffBandHiMs bound the expected stop→ack
 	// latency of a completed handoff. With HandoffBandHiMs > 0, a
@@ -305,9 +301,6 @@ func (c *Config) Validate() error {
 	if c.Domains != SingleLoop && len(c.Segments) > 1 {
 		if c.Scheme != WGTT {
 			return fmt.Errorf("core: domain mode %v requires the WGTT scheme (baseline roamers assume one shared medium)", c.Domains)
-		}
-		if c.TraceCapacity > 0 {
-			return fmt.Errorf("core: domain mode %v cannot share one trace log across domains; set TraceCapacity to 0", c.Domains)
 		}
 		if c.Trunk.PropDelay <= 0 {
 			return fmt.Errorf("core: domain mode %v needs a positive trunk PropDelay for lookahead, got %v",

@@ -20,7 +20,6 @@ type SpanRecord struct {
 	AckedAt  sim.Time // controller saw the SwitchAck
 	HasStart bool     // StartAt observed (false if the Start raced a retransmit path)
 	Flushed  int      // stale packets flushed from the new AP's queue head
-	FwdBytes int64    // backlog bytes forwarded over the backhaul (remote handoff)
 }
 
 // TotalMs returns the stop→ack latency in milliseconds.
@@ -109,17 +108,6 @@ func (sp *Spans) AddFlushed(id uint32, n int) {
 	}
 	if a, ok := sp.active[id]; ok {
 		a.rec.Flushed += n
-	}
-}
-
-// AddForwarded accumulates backlog bytes forwarded to the controller
-// during a remote (cross-segment) handoff.
-func (sp *Spans) AddForwarded(id uint32, bytes int64) {
-	if sp == nil {
-		return
-	}
-	if a, ok := sp.active[id]; ok {
-		a.rec.FwdBytes += bytes
 	}
 }
 

@@ -32,7 +32,6 @@ func TestDisabledScopeIsInert(t *testing.T) {
 	sp.Begin(1, 0, 0, 1)
 	sp.MarkStart(1, 0)
 	sp.AddFlushed(1, 2)
-	sp.AddForwarded(1, 100)
 	sp.End(1, 0)
 	sp.Drop(2)
 	sc.Sample(0)

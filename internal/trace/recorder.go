@@ -1,19 +1,9 @@
-package trace
-
-import (
-	"fmt"
-	"io"
-	"sort"
-
-	"wgtt/internal/packet"
-	"wgtt/internal/sim"
-)
-
-// This file is the causal flight recorder: a fixed-size ring of
-// structured, value-typed records — one Recorder per domain shard, so
-// recording never shares state across domains and stays legal in every
-// domain mode (unlike the formatted-string Log, which Config.Validate
-// forbids outside single-loop runs).
+// Package trace is the causal flight recorder, the simulator's one
+// switch-protocol trace: a fixed-size ring of structured, value-typed
+// records — one Recorder per domain shard, so recording never shares
+// state across domains and works in every domain mode. Records render
+// as text (DumpRecords, DumpAnomalies) or as a Chrome trace_event
+// timeline (WriteChrome).
 //
 // Records are written synchronously from existing protocol handlers:
 // recording schedules no events and draws no randomness, so the event
@@ -25,6 +15,16 @@ import (
 // envelopes, and every record captures the id active when its handler
 // ran. Stitching the per-shard rings back together by trace id yields
 // one causal timeline per handoff, across processes.
+package trace
+
+import (
+	"fmt"
+	"io"
+	"sort"
+
+	"wgtt/internal/packet"
+	"wgtt/internal/sim"
+)
 
 // Op identifies a flight-recorder record's protocol step.
 type Op uint8
@@ -38,16 +38,20 @@ const (
 	OpStartRx    // new AP received the Start (A=stale packets flushed)
 	OpAck        // controller saw the SwitchAck (A=serving AP)
 	OpRetx       // controller retransmitted the Stop (A=retry count)
-	OpAbandon    // controller gave up after retry exhaustion (A=retries)
-	OpClaim      // controller claimed an unowned client overheard above threshold
+	OpAbandon    // controller gave up the switch (A=Stop retries; B=segment of a reclaimed federated export, else -1)
+	OpClaim      // controller claimed an unowned client overheard above threshold (A=best score, tenths of a dB)
 	OpExport     // controller exported the client mid-handoff (A=held pkts, B=peer/segment)
 	OpImport     // controller imported the client (A=resume index k)
+	OpDrop       // AP dropped MPDUs at the retry limit (A=MPDUs dropped)
+	OpRelease    // controller released the client to the directory's owner (A=AP stopped or -1, B=owner segment)
+	OpPeerAck    // exporting controller saw the peer's HandoffAck (A=peer index)
 )
 
 var opNames = [...]string{
 	OpNone: "none", OpIssue: "issue", OpStop: "stop", OpStart: "start",
 	OpStartRx: "start-rx", OpAck: "ack", OpRetx: "retx", OpAbandon: "abandon",
 	OpClaim: "claim", OpExport: "export", OpImport: "import",
+	OpDrop: "drop", OpRelease: "release", OpPeerAck: "peer-ack",
 }
 
 // String returns the op's wire-stable lowercase name.
@@ -323,6 +327,24 @@ func Handoffs(recs []Record) []Handoff {
 	return out
 }
 
+// writeRecord writes one record as a text line after indent — the line
+// format of every text dump.
+func writeRecord(w io.Writer, indent string, r Record) error {
+	_, err := fmt.Fprintf(w, "%s%v dom=%d node=%d %-8s #%d %s trace=%#x a=%d b=%d\n",
+		indent, r.At, r.Domain, r.Node, r.Op, r.SwitchID, r.Client, r.Trace, r.A, r.B)
+	return err
+}
+
+// DumpRecords writes a stitched timeline as text, one record per line.
+func DumpRecords(w io.Writer, recs []Record) error {
+	for _, r := range recs {
+		if err := writeRecord(w, "", r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DumpAnomalies writes a human-readable report: each anomaly followed
 // by the stitched records inside ±window of its virtual time.
 func DumpAnomalies(w io.Writer, recs []Record, anoms []Anomaly, window sim.Duration) error {
@@ -335,8 +357,7 @@ func DumpAnomalies(w io.Writer, recs []Record, anoms []Anomaly, window sim.Durat
 			if r.At < lo || r.At > hi {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "  %v dom=%d node=%d %-8s #%d %s trace=%#x a=%d b=%d\n",
-				r.At, r.Domain, r.Node, r.Op, r.SwitchID, r.Client, r.Trace, r.A, r.B); err != nil {
+			if err := writeRecord(w, "  ", r); err != nil {
 				return err
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
@@ -50,6 +51,31 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
+// TestRingProperty: a ring of capacity c holds exactly the newest
+// min(n, c) of n records, oldest-first, and Total counts all n.
+func TestRingProperty(t *testing.T) {
+	f := func(n uint8, capRaw uint8) bool {
+		c := int(capRaw%16) + 1
+		r := NewRecorder(0, c)
+		for i := 0; i < int(n); i++ {
+			r.Record(rec(sim.Time(i), uint64(i), OpIssue, -1))
+		}
+		got, want := r.Records(), min(int(n), c)
+		if len(got) != want || r.Len() != want || r.Total() != uint64(n) {
+			return false
+		}
+		for i, g := range got {
+			if g.At != sim.Time(int(n)-want+i) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestRecordZeroAlloc pins the hot-path contract: recording into a live
 // ring — and the disabled nil path — never allocates.
 func TestRecordZeroAlloc(t *testing.T) {
@@ -86,7 +112,7 @@ func TestStitchPermutationDeterminism(t *testing.T) {
 				Trace:  uint64(rng.Intn(5)),
 				Domain: int16(d),
 				Node:   int16(rng.Intn(3)) - 1,
-				Op:     Op(rng.Intn(int(OpImport)) + 1),
+				Op:     Op(rng.Intn(int(OpPeerAck)) + 1),
 			})
 		}
 	}
@@ -174,7 +200,14 @@ func TestWriteChromeValidJSON(t *testing.T) {
 }
 
 func TestDumpAnomalies(t *testing.T) {
-	recs := Stitch(handoffRecords())
+	mac := packet.ClientMAC(4)
+	tr := handoffRecords()[0].Trace
+	recs := Stitch(append(handoffRecords(),
+		Record{At: 13, Trace: tr, SwitchID: 7, Op: OpDrop, Node: 2, Client: mac, A: 3},
+		Record{At: 14, Op: OpClaim, Node: -1, Client: mac, A: 235}, // 23.5 dB in tenths
+		Record{At: 15, Trace: tr, SwitchID: 7, Op: OpPeerAck, Node: -1, Client: mac, A: 1},
+		Record{At: 16, Op: OpRelease, Node: -1, Client: mac, A: 2, B: 3},
+	))
 	anoms := []Anomaly{{At: 14, Kind: AnomalyLatency, Trace: recs[0].Trace, Value: 33.5}}
 	var buf bytes.Buffer
 	if err := DumpAnomalies(&buf, recs, anoms, 2); err != nil {
@@ -191,32 +224,27 @@ func TestDumpAnomalies(t *testing.T) {
 	if strings.Contains(out, "issue") {
 		t.Fatalf("record outside window leaked in:\n%s", out)
 	}
-}
 
-// TestBadVerbWarning pins the satellite-6 contract: the first
-// unsupported verb/argument combination under `go test` prints one
-// warning naming the format string; later ones stay silent.
-func TestBadVerbWarning(t *testing.T) {
-	prevOut := badVerbOut
-	prevNoted := badVerbNoted.Load()
-	defer func() { badVerbOut = prevOut; badVerbNoted.Store(prevNoted) }()
-	var buf bytes.Buffer
-	badVerbOut = &buf
-	badVerbNoted.Store(false)
-
-	type odd struct{ x int }
-	if got := sprintf("bad %s here", []any{odd{1}}); got != "bad %!s(?) here" {
-		t.Fatalf("placeholder = %q", got)
+	// The whole-timeline dump renders the same lines, unindented, one
+	// per record.
+	var all bytes.Buffer
+	if err := DumpRecords(&all, recs); err != nil {
+		t.Fatal(err)
 	}
-	warn := buf.String()
-	if !strings.Contains(warn, `"bad %s here"`) || !strings.Contains(warn, "verb %s") {
-		t.Fatalf("warning should name format and verb, got %q", warn)
+	if got := strings.Count(all.String(), "\n"); got != len(recs) {
+		t.Fatalf("DumpRecords wrote %d lines for %d records:\n%s", got, len(recs), all.String())
 	}
-	if n := strings.Count(warn, "\n"); n != 1 {
-		t.Fatalf("want exactly one warning line, got %d:\n%s", n, warn)
-	}
-	sprintf("also bad %d", []any{"str"})
-	if buf.String() != warn {
-		t.Fatalf("second bad verb warned again:\n%s", buf.String())
+	for _, line := range []string{
+		"0.000000s dom=0 node=2 drop     #7 02:c1:1e:00:00:04 trace=0x300000007 a=3 b=0",
+		"0.000000s dom=0 node=-1 claim    #0 02:c1:1e:00:00:04 trace=0x0 a=235 b=0",
+		"0.000000s dom=0 node=-1 peer-ack #7 02:c1:1e:00:00:04 trace=0x300000007 a=1 b=0",
+		"0.000000s dom=0 node=-1 release  #0 02:c1:1e:00:00:04 trace=0x0 a=2 b=3",
+	} {
+		if !strings.Contains(out, "  "+line+"\n") {
+			t.Errorf("anomaly window missing line %q:\n%s", line, out)
+		}
+		if !strings.Contains(all.String(), line+"\n") {
+			t.Errorf("DumpRecords missing line %q:\n%s", line, all.String())
+		}
 	}
 }

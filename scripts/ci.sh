@@ -106,6 +106,17 @@ go run ./cmd/wgtt-sim -segments 4x7.5,4x7.5,4x7.5,4x7.5 -federation -clients 2 -
         if (relocates < 1) { print "federation gate: no re-locates observed"; exit 1 }
     }'
 
+# Flight-recorder text-dump gate: a two-segment ride in parallel
+# domains with the recorder on must print its stitched records, with at
+# least one switch issue and one ack among them.
+go run ./cmd/wgtt-sim -segments 4x7.5,4x7.5 -parallel-segments -mph 25 -flight-recorder 512 | awk '
+    $4 == "issue" { issues++ }
+    $4 == "ack"   { acks++ }
+    END {
+        printf "flight-recorder dump gate: issue=%d ack=%d\n", issues, acks
+        if (issues < 1 || acks < 1) { print "flight-recorder dump gate: no switch round in the text dump"; exit 1 }
+    }'
+
 # Telemetry-overhead gate: the fully instrumented 24-segment corridor
 # ride (counters, spans, per-domain 100 ms samplers) must not run more
 # than 5% slower than the uninstrumented one. Each sample averages three

@@ -210,33 +210,48 @@ func TestStopAndGoTransit(t *testing.T) {
 	}
 }
 
+// TestTraceCapturesSwitchRounds rides a two-segment road with the
+// flight recorder on, in one loop and in parallel domains, and requires
+// the stitched records to carry every switch round in protocol order:
+// each completed handoff has issue <= stop <= start <= ack.
 func TestTraceCapturesSwitchRounds(t *testing.T) {
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.TraceCapacity = 256
-	n := NewNetwork(cfg)
-	c := n.AddClient(Drive(-5, 0, 25))
-	f := NewUDPDownlink(n, c, 20)
-	n.Loop.After(100*Millisecond, f.Start)
-	n.Run(5 * Second)
-	_ = c
-	if n.Trace == nil || n.Trace.Total() == 0 {
-		t.Fatal("trace empty")
-	}
-	// Every completed switch must appear as issue→stop→start→ack.
-	var issues, stops, starts, acks int
-	for _, e := range n.Trace.Events() {
-		switch {
-		case e.Node == "ctrl" && len(e.Detail) > 5 && e.Detail[:5] == "issue":
-			issues++
-		case e.Detail != "" && e.Detail[0] == 's' && e.Detail[1] == 't' && e.Detail[2] == 'o':
-			stops++
-		case e.Detail != "" && e.Detail[0] == 's' && e.Detail[1] == 't' && e.Detail[2] == 'a':
-			starts++
-		case e.Node == "ctrl" && len(e.Detail) > 3 && e.Detail[:3] == "ack":
-			acks++
-		}
-	}
-	if issues == 0 || starts == 0 || acks == 0 {
-		t.Errorf("trace incomplete: issue=%d stop=%d start=%d ack=%d", issues, stops, starts, acks)
+	for _, mode := range []DomainMode{SingleLoop, DomainsParallel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := DefaultConfig(SchemeWGTT)
+			cfg.Segments = []SegmentSpec{{NumAPs: 4, APSpacing: 7.5}, {NumAPs: 4, APSpacing: 7.5}}
+			cfg.Domains = mode
+			cfg.FlightRecorder = 4096
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			n := NewNetwork(cfg)
+			lo, hi := cfg.RoadSpanX()
+			traj := Drive(lo-5, 0, 25)
+			c := n.AddClient(traj)
+			f := NewUDPDownlink(n, c, 20)
+			n.Loop.After(100*Millisecond, f.Start)
+			n.Run(Duration((hi - lo + 10) / traj.SpeedMps() * 1e9))
+
+			var rounds int
+			for _, h := range TraceHandoffs(n.FlightRecords()) {
+				if !h.Completed() {
+					continue
+				}
+				if h.Ack < h.Issue {
+					t.Errorf("trace %#x: ack %v before issue %v", h.Trace, h.Ack, h.Issue)
+				}
+				if !h.HasStop || !h.HasStart {
+					continue // adoption: no stop leg
+				}
+				rounds++
+				if h.Stop < h.Issue || h.Start < h.Stop || h.Ack < h.Start {
+					t.Errorf("trace %#x out of order: issue %v stop %v start %v ack %v",
+						h.Trace, h.Issue, h.Stop, h.Start, h.Ack)
+				}
+			}
+			if rounds == 0 {
+				t.Fatal("no completed stop/start/ack round in the flight records")
+			}
+		})
 	}
 }
