@@ -6,7 +6,7 @@
 //	go test -bench=. -benchtime=1x ./... | go run ./cmd/wgtt-benchjson > BENCH_baseline.json
 //
 // Gate mode re-reads such a baseline and fails when the bench output on
-// stdin regresses its allocs/op budget by more than 10%:
+// stdin regresses its allocs/op or bytes/op budget by more than 10%:
 //
 //	go test -bench=... -benchmem . | go run ./cmd/wgtt-benchjson -gate BENCH_baseline.json
 //
@@ -31,10 +31,6 @@ import (
 	"wgtt/internal/stats"
 )
 
-// allocGateSlack is how far allocs/op may drift above the pinned
-// baseline before the gate fails.
-const allocGateSlack = 1.10
-
 // mallocsSlack is the cross-run tolerance on a scale cell's Mallocs
 // count (map growth and GC internals wobble; the datapath does not).
 const mallocsSlack = 1.30
@@ -43,7 +39,7 @@ func main() {
 	var (
 		scale    = flag.Bool("scale", false, "run the scale grid instead of parsing bench output")
 		compare  = flag.String("compare", "", "with -scale: compare against this BENCH_scale.json instead of emitting")
-		gate     = flag.String("gate", "", "gate stdin bench output against this baseline's allocs/op budgets")
+		gate     = flag.String("gate", "", "gate stdin bench output against this baseline's allocs/op and bytes/op budgets")
 		seed     = flag.Int64("seed", 1, "scale grid seed")
 		segments = flag.String("segments", "1,8,24", "scale grid segment counts")
 		clients  = flag.String("clients", "2,64,1024", "scale grid client counts")
@@ -137,12 +133,6 @@ func runGate(baselinePath string) {
 	if err := json.Unmarshal(data, &base); err != nil {
 		fatal("bad %s: %v", baselinePath, err)
 	}
-	budget := make(map[string]float64)
-	for _, b := range base {
-		if b.AllocsPerOp > 0 {
-			budget[b.Name] = b.AllocsPerOp
-		}
-	}
 	results, err := stats.ParseBench(os.Stdin)
 	if err != nil {
 		fatal("%v", err)
@@ -150,26 +140,14 @@ func runGate(baselinePath string) {
 	if len(results) == 0 {
 		fatal("no benchmark lines on stdin")
 	}
-	failed, gated := false, 0
-	for _, r := range results {
-		want, ok := budget[r.Name]
-		if !ok || r.AllocsPerOp == 0 {
-			continue
-		}
-		gated++
-		if r.AllocsPerOp > want*allocGateSlack {
-			fmt.Fprintf(os.Stderr, "FAIL %s: %.0f allocs/op > budget %.0f +%d%%\n",
-				r.Name, r.AllocsPerOp, want, int(allocGateSlack*100-100))
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "ok %s: %.0f allocs/op (budget %.0f)\n",
-				r.Name, r.AllocsPerOp, want)
-		}
+	report, gated, ok := stats.Gate(base, results)
+	for _, line := range report {
+		fmt.Fprintln(os.Stderr, line)
 	}
 	if gated == 0 {
-		fatal("no stdin benchmark matched a baseline allocs/op budget")
+		fatal("no stdin benchmark matched a baseline allocs/op or bytes/op budget")
 	}
-	if failed {
+	if !ok {
 		os.Exit(1)
 	}
 }

@@ -98,10 +98,9 @@ type Model interface {
 	// MaxSNRAPToBoxDB bounds the large-scale SNR from an AP at apPos to
 	// any point of box (shadowing at its analytic peak). Must never
 	// under-estimate MeanSNRdB − shadowing + MaxShadow at any box point.
+	// Links are reciprocal, so it also bounds a client transmitter
+	// anywhere in box heard at the AP.
 	MaxSNRAPToBoxDB(apPos rf.Position, box Box) float64
-	// MaxSNRClientToAPDB bounds the large-scale SNR from a client at
-	// cliPos to the AP at apPos (the uplink reciprocal, exact positions).
-	MaxSNRClientToAPDB(cliPos, apPos rf.Position) float64
 	// ClientClientSNRdB is the flat vehicle-to-vehicle budget at
 	// distance d (clamped to the 1 m reference inside). No fading is
 	// applied to this path, so it is exact, not a bound.

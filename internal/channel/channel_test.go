@@ -139,7 +139,8 @@ func TestMMWaveCellCap(t *testing.T) {
 	if b := m.MaxSNRAPToBoxDB(apPos, farBox); b > -100 {
 		t.Errorf("box bound %.1f dB beyond the cell radius; want dead", b)
 	}
-	if b := m.MaxSNRClientToAPDB(rf.Position{X: r + 5}, apPos); b > -100 {
+	cliBox := Box{MinX: r + 5, MaxX: r + 5} // a client transmitter's point box
+	if b := m.MaxSNRAPToBoxDB(apPos, cliBox); b > -100 {
 		t.Errorf("client bound %.1f dB beyond the cell radius; want dead", b)
 	}
 }

@@ -297,21 +297,6 @@ func (m *mmwave) MaxSNRAPToBoxDB(apPos rf.Position, box Box) float64 {
 		m.p.SystemLossDB + m.maxShadowDB() - m.p.NoiseDBm
 }
 
-// MaxSNRClientToAPDB implements Model (reciprocal budget, exact
-// positions).
-func (m *mmwave) MaxSNRClientToAPDB(cliPos, apPos rf.Position) float64 {
-	d := apPos.Distance(cliPos)
-	if d > m.p.CellRadiusM {
-		return m.deadSNRdB
-	}
-	if d < 1 {
-		d = 1
-	}
-	pl := m.p.RefLossDB + 10*m.p.PathLossExp*math.Log10(d) + m.p.OxygenDBPerKm*d/1000
-	return m.p.TxPowerDBm + m.p.ArrayGainDBi + m.p.ClientGainDBi - pl -
-		m.p.SystemLossDB + m.maxShadowDB() - m.p.NoiseDBm
-}
-
 // ClientClientSNRdB implements Model: device-to-device 60 GHz coupling
 // with no array gain and double in-vehicle penetration — effectively
 // dead past a few meters, as it should be.

@@ -79,16 +79,6 @@ func (m *wifi5g) MaxSNRAPToBoxDB(apPos rf.Position, box Box) float64 {
 		m.p.SystemLossDB + m.p.MaxShadowDB() - m.p.NoiseDBm
 }
 
-// MaxSNRClientToAPDB implements Model: the reciprocal of the downlink
-// budget at exact positions.
-func (m *wifi5g) MaxSNRClientToAPDB(cliPos, apPos rf.Position) float64 {
-	d := math.Max(1, apPos.Distance(cliPos))
-	gain := m.apAnt.GainDB(apPos.AngleTo(cliPos))
-	return m.p.TxPowerDBm + gain -
-		(m.p.RefLossDB + 10*m.p.PathLossExp*math.Log10(d)) -
-		m.p.SystemLossDB + m.p.MaxShadowDB() - m.p.NoiseDBm
-}
-
 // ClientClientSNRdB implements Model: omni antennas, double in-vehicle
 // penetration, log-distance path loss, no fading.
 func (m *wifi5g) ClientClientSNRdB(d float64) float64 {

@@ -10,29 +10,40 @@ import (
 )
 
 // The audibility index is the large-deployment fast path of the shared
-// medium: instead of evaluating every delivered PPDU at every registered
-// node, the medium asks the index for the set of nodes that could
-// *plausibly* detect the transmitter, and only those pay the
-// per-subcarrier channel evaluation. Soundness rule: the index may
+// medium: the medium asks it once per PPDU, as the PPDU goes on air, for
+// the set of nodes that could *plausibly* hear the transmitter, and
+// every later channel probe of that PPDU — delivery, carrier sense,
+// capture — skips the nodes left out. Soundness rule: the index may
 // over-mark freely (a false positive just re-runs the medium's own
 // threshold tests, which reject it exactly like the brute-force scan
-// would), but it must never under-mark — every node whose large-scale SNR
-// plus the constructive-fading headroom could reach the preamble-detection
-// threshold must have its bit set. Under that rule, index-on and index-off
-// runs are bit-identical: both visit the same detecting receivers in the
-// same (registration) order and draw from the RNG identically.
+// would), but it must never under-mark. Every node must be marked whose
+// large-scale SNR could reach the floor — the lower of
+// mac.AudibleFloorDB (capture: an interferer at or under it never
+// collides a detectable frame) and the detect threshold minus the
+// constructive-fading headroom — at any instant of the bitmap's
+// lifetime, mac.AudibilitySpan from the PPDU's start. Under that rule,
+// index-on and index-off runs are bit-identical: both visit the same
+// detecting receivers in the same (registration) order, sense and
+// collide identically, and draw from the RNG identically.
+//
+// Lifetime: bucket boxes are as much as audRefreshInterval stale when a
+// bitmap is built and must still hold mac.AudibilitySpan later, so the
+// audSlopM padding covers clients slower than
+// audSlopM / (audRefreshInterval + mac.AudibilitySpan) = 5 m / 13 ms ≈
+// 385 m/s. A client transmitter is padded by the same slop (its own
+// motion over the span); APs do not move.
 const (
 	// audRefreshInterval is how stale the client bucket geometry may
 	// get before MarkAudible rebuilds it.
 	audRefreshInterval = 5 * sim.Millisecond
-	// audSlopM pads every bucket's bounding box against client motion
-	// between refreshes: at 5 ms staleness, 5 m covers any client
-	// moving slower than 1000 m/s.
+	// audSlopM pads every bucket's bounding box, and a client
+	// transmitter's position, against client motion over the bitmap's
+	// lifetime (see above for the speed bound it implies).
 	audSlopM = 5.0
 	// audBucketM is the x-extent of one client bucket.
 	audBucketM = 32.0
-	// audFlatMarginDB guards the client↔client skip against the ESNR
-	// table's interpolation error (≪ 0.5 dB on a flat channel).
+	// audFlatMarginDB guards the client↔client detect bound against the
+	// ESNR table's interpolation error (≪ 0.5 dB on a flat channel).
 	audFlatMarginDB = 0.5
 )
 
@@ -71,16 +82,20 @@ type audIndex struct {
 	fresh       bool
 	refreshedAt sim.Time
 
-	// headroomDB mirrors the channel's DetectHeadroomDB bound.
-	headroomDB float64
+	// fadeFloorDB is the large-scale SNR bound at which a faded
+	// AP↔client path must be marked: detect minus the channel's
+	// constructive-fading headroom, or the capture floor if lower.
+	// flatFloorDB is the same for the unfaded client↔client path.
+	fadeFloorDB, flatFloorDB float64
 }
 
 func newAudIndex(n *Network, loop *sim.Loop) *audIndex {
 	return &audIndex{
-		n:          n,
-		loop:       loop,
-		buckets:    make(map[int]*audBucket),
-		headroomDB: n.model.DetectHeadroomDB(),
+		n:           n,
+		loop:        loop,
+		buckets:     make(map[int]*audBucket),
+		fadeFloorDB: math.Min(mac.AudibleFloorDB, mac.DetectThresholdDB-n.model.DetectHeadroomDB()),
+		flatFloorDB: math.Min(mac.AudibleFloorDB, mac.DetectThresholdDB-audFlatMarginDB),
 	}
 }
 
@@ -184,7 +199,8 @@ func (ix *audIndex) markFromAP(tx *mac.Node, bitmap []uint64) {
 	pos := tx.Pos()
 	model := ix.n.model
 	// AP → AP sensing is a hard range cutoff in netChannel; beyond it
-	// the flat −10 dB channel fails SubcarrierSNRs outright.
+	// the flat apAPOutOfRangeSNRdB channel sits under the capture floor
+	// and fails SubcarrierSNRs outright.
 	for _, ap := range ix.aps {
 		if pos.Distance(ap.pos) <= ix.n.Cfg.APAPSenseRangeM {
 			markBit(bitmap, ap.node)
@@ -192,8 +208,7 @@ func (ix *audIndex) markFromAP(tx *mac.Node, bitmap []uint64) {
 	}
 	// AP → client: bound the large-scale SNR over the bucket box.
 	for _, b := range ix.buckets {
-		bound := model.MaxSNRAPToBoxDB(pos, boxOf(b))
-		if bound+ix.headroomDB >= mac.DetectThresholdDB {
+		if model.MaxSNRAPToBoxDB(pos, boxOf(b)) >= ix.fadeFloorDB {
 			for _, n := range b.nodes {
 				markBit(bitmap, n)
 			}
@@ -202,24 +217,26 @@ func (ix *audIndex) markFromAP(tx *mac.Node, bitmap []uint64) {
 }
 
 // markFromClient marks every plausible receiver of a client transmission.
-// The transmitter's position is read now — the same instant the medium
-// evaluates the channel — so only the receiving buckets carry slop.
+// The transmitter moves over the bitmap's lifetime, so its position is
+// padded by audSlopM like the receiving buckets.
 func (ix *audIndex) markFromClient(tx *mac.Node, bitmap []uint64) {
 	pos := tx.Pos()
 	model := ix.n.model
-	// Client → AP: reciprocal of the downlink budget, exact positions.
+	// Client → AP: the reciprocal of the downlink budget from the AP to
+	// the transmitter's slop box.
+	txBox := channel.Box{MinX: pos.X - audSlopM, MaxX: pos.X + audSlopM,
+		MinY: pos.Y - audSlopM, MaxY: pos.Y + audSlopM}
 	for _, ap := range ix.aps {
-		bound := model.MaxSNRClientToAPDB(pos, ap.pos)
-		if bound+ix.headroomDB >= mac.DetectThresholdDB {
+		if model.MaxSNRAPToBoxDB(ap.pos, txBox) >= ix.fadeFloorDB {
 			markBit(bitmap, ap.node)
 		}
 	}
-	// Client → client: the flat vehicle-to-vehicle budget with the
-	// bucket's nearest point; no fading, so no headroom term — just an
-	// interpolation-error margin on the detect threshold.
+	// Client → client: the flat vehicle-to-vehicle budget at the nearest
+	// point of the bucket, less the transmitter's own slop; no fading,
+	// so the floor carries no headroom term.
 	for _, b := range ix.buckets {
-		snr := model.ClientClientSNRdB(boxDistance(pos, b))
-		if snr >= mac.DetectThresholdDB-audFlatMarginDB {
+		d := math.Max(0, boxDistance(pos, b)-audSlopM)
+		if model.ClientClientSNRdB(d) >= ix.flatFloorDB {
 			for _, n := range b.nodes {
 				markBit(bitmap, n)
 			}

@@ -94,17 +94,27 @@ func clip(s string, lo, hi int) string {
 }
 
 // TestAudibilityIndexNeverSkipsAudible is the soundness property behind
-// the parity guarantee: at no point during a ride may the index leave a
-// node unmarked whose brute-force channel evaluation could still detect
-// the transmission. For every (tx, rx) pair the index skips, the full
-// per-subcarrier evaluation must land below the preamble-detection
-// threshold at every modulation.
+// the parity guarantee, on both channel backends: no bitmap the index
+// builds may leave a node clear that the medium's gated probes would
+// still have found. For every (tx, rx) pair a bitmap clears — checked
+// when the bitmap is built and again at the end of its lifetime,
+// mac.AudibilitySpan later, which covers the longest navEnd — the
+// large-scale SNR must stay under the capture floor and the sense
+// threshold, and the full per-subcarrier evaluation must land below the
+// preamble-detection threshold at every modulation.
 func TestAudibilityIndexNeverSkipsAudible(t *testing.T) {
 	if testing.Short() {
-		t.Skip("samples a 4 s three-segment ride")
+		t.Skip("samples a 4 s three-segment ride per backend")
 	}
+	for _, backend := range []string{"wifi5g", "mmwave60g"} {
+		t.Run(backend, func(t *testing.T) { checkIndexSound(t, backend) })
+	}
+}
+
+func checkIndexSound(t *testing.T, backend string) {
 	cfg := DefaultConfig(WGTT)
 	cfg.Seed = 7
+	cfg.ChannelBackend = backend
 	cfg.Segments = []deploy.SegmentSpec{{NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}}
 	n := MustNewNetwork(cfg)
 	for _, traj := range []mobility.Trajectory{
@@ -114,58 +124,112 @@ func TestAudibilityIndexNeverSkipsAudible(t *testing.T) {
 	} {
 		n.AddClient(traj)
 	}
+	ix, nodes := replicaIndex(n)
 
-	// A private index replica registered in the same order as the
-	// medium; bits address nodes via Node.Seq, so the mapping matches.
-	ix := newAudIndex(n, n.Loop)
-	var nodes []*mac.Node
-	for _, a := range n.apNodes {
-		nodes = append(nodes, a)
+	nc := &netChannel{n: n, loop: n.Loop}
+	mods := []csi.Modulation{csi.BPSK, csi.QPSK, csi.QAM16, csi.QAM64}
+	words := (len(nodes) + 63) / 64
+	bitmaps := make([][]uint64, len(nodes))
+	var snrs [rf.NumSubcarriers]float64
+
+	checked, skipped := 0, 0
+	verify := func(when string, tx *mac.Node, bits []uint64) {
+		for _, rx := range nodes {
+			if rx == tx {
+				continue
+			}
+			checked++
+			seq := rx.Seq()
+			if bits[seq>>6]&(1<<(seq&63)) != 0 {
+				continue
+			}
+			skipped++
+			sense := nc.SenseSNRdB(tx, rx)
+			if sense >= mac.AudibleFloorDB || sense >= mac.SenseThresholdDB {
+				t.Fatalf("%s: index cleared %s→%s but SenseSNRdB %.2f dB reaches the capture floor %v dB",
+					when, tx.Name, rx.Name, sense, mac.AudibleFloorDB)
+			}
+			if !nc.SubcarrierSNRs(tx, rx, snrs[:]) {
+				continue
+			}
+			for _, m := range mods {
+				if esnr := csi.EffectiveSNRdB(snrs[:], m); esnr >= mac.DetectThresholdDB {
+					t.Fatalf("%s: index cleared %s→%s but %v ESNR %.2f dB ≥ detect threshold %v",
+						when, tx.Name, rx.Name, m, esnr, mac.DetectThresholdDB)
+				}
+			}
+		}
 	}
+	for step := 0; step < 40; step++ {
+		start := sim.Duration(step+1) * 100 * sim.Millisecond
+		n.Run(start)
+		for i, tx := range nodes {
+			bitmaps[i] = make([]uint64, words)
+			ix.MarkAudible(tx, bitmaps[i])
+			verify(fmt.Sprintf("step %d start", step), tx, bitmaps[i])
+		}
+		n.Run(start + mac.AudibilitySpan)
+		for i, tx := range nodes {
+			verify(fmt.Sprintf("step %d span end", step), tx, bitmaps[i])
+		}
+	}
+	if skipped == 0 {
+		t.Fatalf("index never skipped a pair across %d checks; prefilter is vacuous", checked)
+	}
+	t.Logf("index skipped %d of %d pair evaluations, all verified inaudible", skipped, checked)
+}
+
+// replicaIndex builds a private index registered in the same order as
+// n's medium; bits address nodes via Node.Seq, so the mapping matches.
+func replicaIndex(n *Network) (*audIndex, []*mac.Node) {
+	ix := newAudIndex(n, n.Loop)
+	nodes := append([]*mac.Node(nil), n.apNodes...)
 	for _, c := range n.Clients {
 		nodes = append(nodes, c.Node())
 	}
 	for _, nd := range nodes {
 		ix.Register(nd)
 	}
+	return ix, nodes
+}
 
-	nc := &netChannel{n: n, loop: n.Loop}
-	mods := []csi.Modulation{csi.BPSK, csi.QPSK, csi.QAM16, csi.QAM64}
-	bits := make([]uint64, (len(nodes)+255)/64+1)
-	var snrs [rf.NumSubcarriers]float64
-
-	checked, skipped := 0, 0
-	for step := 0; step < 40; step++ {
-		n.Run(sim.Duration(step+1) * 100 * sim.Millisecond)
-		for _, tx := range nodes {
-			for i := range bits {
-				bits[i] = 0
+// TestAudibilityIndexMarksCaptureRange is the regression case for the
+// capture floor: a client↔client pair too weak to detect each other
+// (under 0.5 dB, the old detect-only bound) but strong enough to collide
+// a frame (over mac.AudibleFloorDB) must be marked.
+func TestAudibilityIndexMarksCaptureRange(t *testing.T) {
+	for _, backend := range []string{"wifi5g", "mmwave60g"} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := DefaultConfig(WGTT)
+			cfg.ChannelBackend = backend
+			n := MustNewNetwork(cfg)
+			const target = -4.0 // dB, inside (AudibleFloorDB, detect − 0.5)
+			if n.model.ClientClientSNRdB(1) < target {
+				t.Skipf("%s client↔client budget is under %v dB even at 1 m", backend, target)
 			}
-			ix.MarkAudible(tx, bits)
-			for _, rx := range nodes {
-				if rx == tx {
-					continue
-				}
-				checked++
-				seq := rx.Seq()
-				if bits[seq>>6]&(1<<(seq&63)) != 0 {
-					continue
-				}
-				skipped++
-				if !nc.SubcarrierSNRs(tx, rx, snrs[:]) {
-					continue
-				}
-				for _, m := range mods {
-					if esnr := csi.EffectiveSNRdB(snrs[:], m); esnr >= mac.DetectThresholdDB {
-						t.Fatalf("step %d: index skipped %s→%s but %v ESNR %.2f dB ≥ detect threshold %v",
-							step, tx.Name, rx.Name, m, esnr, mac.DetectThresholdDB)
-					}
+			// Bisect the distance at which the flat budget hits target.
+			lo, hi := 1.0, 1e4
+			for i := 0; i < 100; i++ {
+				if mid := (lo + hi) / 2; n.model.ClientClientSNRdB(mid) > target {
+					lo = mid
+				} else {
+					hi = mid
 				}
 			}
-		}
+			a := n.AddClient(mobility.Stationary{X: 0, Y: 0})
+			b := n.AddClient(mobility.Stationary{X: lo, Y: 0})
+			nc := &netChannel{n: n, loop: n.Loop}
+			snr := nc.SenseSNRdB(a.Node(), b.Node())
+			if snr <= mac.AudibleFloorDB || snr >= mac.DetectThresholdDB-audFlatMarginDB {
+				t.Fatalf("pair at %.1f m senses %.2f dB; want inside (%v, %v)",
+					lo, snr, mac.AudibleFloorDB, mac.DetectThresholdDB-audFlatMarginDB)
+			}
+			ix, nodes := replicaIndex(n)
+			bits := make([]uint64, (len(nodes)+63)/64)
+			ix.MarkAudible(a.Node(), bits)
+			if seq := b.Node().Seq(); bits[seq>>6]&(1<<(seq&63)) == 0 {
+				t.Errorf("clients %.1f m apart at %.2f dB can collide each other's frames but the index cleared the pair", lo, snr)
+			}
+		})
 	}
-	if skipped == 0 {
-		t.Fatalf("index never skipped a pair across %d checks; prefilter is vacuous", checked)
-	}
-	t.Logf("index skipped %d of %d pair evaluations, all verified undetectable", skipped, checked)
 }

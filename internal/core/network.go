@@ -78,6 +78,10 @@ type Network struct {
 	// SendFromServer path (Send serializes synchronously).
 	sdOut   packet.ServerData
 	apNodes []*mac.Node
+	// apPos[i] is global AP i's mounting position, resolved once at
+	// construction (Config.APPosition re-resolves the segment chain and
+	// allocates on every call).
+	apPos []rf.Position
 	// links[clientID][apIdx] is the radio channel realization.
 	links       [][]channel.Link
 	nodeKind    map[*mac.Node]nodeRef
@@ -203,7 +207,16 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	n.Deploy = d
 	n.Backhaul = d.Segments[0].Backhaul
+	n.resolveAPGeometry()
 	return n, nil
+}
+
+// resolveAPGeometry fills apPos once the plane has registered every AP.
+func (n *Network) resolveAPGeometry() {
+	n.apPos = make([]rf.Position, n.TotalAPs())
+	for i := range n.apPos {
+		n.apPos[i] = n.Cfg.APPosition(i)
+	}
 }
 
 // buildModel instantiates the configured channel backend and fills the
@@ -289,7 +302,7 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 	total := n.TotalAPs()
 	row := make([]channel.Link, total)
 	for i := 0; i < total; i++ {
-		row[i] = n.model.NewLink(n.Cfg.APPosition(i),
+		row[i] = n.model.NewLink(n.apPos[i],
 			n.rng.Fork(fmt.Sprintf("link-%d-%d", i, id)))
 	}
 	n.links = append(n.links, nil) // placeholder, replaced below
@@ -318,8 +331,8 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 // nearestAP returns the global AP id closest to pos.
 func (n *Network) nearestAP(pos rf.Position) int {
 	best, bestD := 0, math.Inf(1)
-	for i := 0; i < n.TotalAPs(); i++ {
-		if d := n.Cfg.APPosition(i).Distance(pos); d < bestD {
+	for i, ap := range n.apPos {
+		if d := ap.Distance(pos); d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -521,14 +534,16 @@ func (nc *netChannel) SenseSNRdB(tx, rx *mac.Node) float64 {
 	case !tref.isAP && !rref.isAP:
 		return nc.clientClientSNR(tref.idx, rref.idx)
 	default:
-		a := n.Cfg.APPosition(tref.idx)
-		b := n.Cfg.APPosition(rref.idx)
-		if a.Distance(b) <= n.Cfg.APAPSenseRangeM {
+		if n.apPos[tref.idx].Distance(n.apPos[rref.idx]) <= n.Cfg.APAPSenseRangeM {
 			return n.Cfg.APAPSenseSNRdB
 		}
-		return -10
+		return apAPOutOfRangeSNRdB
 	}
 }
+
+// apAPOutOfRangeSNRdB is the AP↔AP budget beyond APAPSenseRangeM: under
+// mac.AudibleFloorDB, so the audibility index may leave such pairs clear.
+const apAPOutOfRangeSNRdB = -10
 
 // DetectHeadroomDB implements mac.DetectHeadroomer by delegating to the
 // backend's analytic constructive-fading bound. It licenses the medium's

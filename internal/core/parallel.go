@@ -283,6 +283,7 @@ func newDomainNetwork(cfg Config, model channel.Model) (*Network, error) {
 	}
 	n.Deploy = d
 	n.Backhaul = d.Segments[0].Backhaul
+	n.resolveAPGeometry()
 	n.wireServerSendEnvelopes()
 	for _, sd := range n.segs {
 		sd := sd

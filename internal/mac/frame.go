@@ -136,16 +136,23 @@ type Transmission struct {
 	// expectsBA marks unicast data that reserves the medium for the
 	// SIFS + BA response (NAV).
 	expectsBA bool
-	// deliverEv is the scheduled PPDU-end delivery, kept so Unregister
-	// can silence a migrating node's in-flight transmission. It is
-	// nil'd at fire time so a late cancel never touches a recycled
-	// event.
-	deliverEv *sim.Event
 	// pooled marks transmissions acquired from Medium.NewTransmission;
 	// only those return to the free list when they leave the overlap
 	// window. Literal-built transmissions stay unpooled and are never
 	// recycled.
 	pooled bool
+	// deliverEv is the scheduled PPDU-end delivery, kept so Unregister
+	// can silence a migrating node's in-flight transmission. It is
+	// nil'd at fire time so a late cancel never touches a recycled
+	// event.
+	deliverEv *sim.Event
+	// aud is the audibility bitmap the medium's index built when the PPDU
+	// went on air (bit Node.Seq() set for every node that may hear it),
+	// covering the first audN seqs; nodes registered later count as
+	// audible. With no index, or after the medium renumbered its seqs,
+	// audN is 0 and every node counts as audible.
+	aud  []uint64
+	audN int
 }
 
 // Broadcast is the all-ones destination address.

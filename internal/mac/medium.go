@@ -36,13 +36,21 @@ type DetectHeadroomer interface {
 }
 
 // AudibilityIndex is an optional spatial prefilter over the medium's
-// registered nodes. MarkAudible must set the bit Node.Seq() for every
-// registered node that could plausibly detect a transmission from tx —
-// false positives merely cost the normal per-node evaluation, but a false
-// negative would silently change delivery, so implementations must be
-// strictly conservative (when in doubt, mark the bit). The medium still
-// applies its own threshold tests to every marked node, which is what
-// keeps index-on and index-off runs bit-identical.
+// registered nodes. The medium calls MarkAudible once per PPDU, as it
+// goes on air, and keeps the bitmap on the Transmission: delivery, carrier
+// sense (busyUntil, BlockAckOnAir) and capture (collided) all skip a node
+// whose bit is clear without evaluating the channel. MarkAudible must
+// therefore set the bit Node.Seq() for every registered node whose
+// large-scale SenseSNRdB from tx could reach AudibleFloorDB, or whose
+// per-subcarrier SNRs could lift its ESNR to DetectThresholdDB, at any
+// instant of the next AudibilitySpan — the bitmap's lifetime. False
+// positives merely cost the normal per-node evaluation, but a false
+// negative would silently change delivery, sensing or capture, so
+// implementations must be strictly conservative (when in doubt, mark the
+// bit). The medium still applies its own threshold tests to every marked
+// node, which is what keeps index-on and index-off runs bit-identical.
+// Nodes registered after MarkAudible ran, and every node once the
+// medium renumbers its seqs, count as marked.
 type AudibilityIndex interface {
 	// Register and Unregister mirror the medium's node set.
 	Register(n *Node)
@@ -107,9 +115,27 @@ const (
 	captureMarginDB = 10
 )
 
-// DetectThresholdDB exposes the preamble-detection threshold for index
+// Audibility-index contract constants, exposed for index
 // implementations and their tests.
-const DetectThresholdDB = detectThresholdDB
+const (
+	// DetectThresholdDB is the preamble-detection threshold.
+	DetectThresholdDB = detectThresholdDB
+	// SenseThresholdDB is the carrier-sense (CCA) threshold.
+	SenseThresholdDB = senseThresholdDB
+	// AudibleFloorDB is the lowest large-scale SNR at which a node can
+	// still matter to a PPDU: a frame is detected at ESNR ≥
+	// DetectThresholdDB and survives an interferer up to captureMarginDB
+	// below it, so an interferer at or under this floor never collides,
+	// and the sense threshold sits far above it.
+	AudibleFloorDB = detectThresholdDB - captureMarginDB
+	// AudibilitySpan is how long a MarkAudible bitmap is trusted after
+	// the PPDU starts. Probes reach back to an active transmission o
+	// until navEnd(o) for carrier sense and until the end of any PPDU
+	// overlapping o for capture, i.e. at most two maximal aggregates
+	// after o.Start; probes past the span (a PPDU longer than the TXOP
+	// cap) fall back to the full channel evaluation.
+	AudibilitySpan = 2 * phy.MaxAMPDUAirtime
+)
 
 // Medium is the shared 2.4 GHz channel: it arbitrates access (CSMA with
 // binary-exponential-style backoff), applies the ESNR→PER error model per
@@ -127,10 +153,10 @@ type Medium struct {
 	// as m.nodes — so bitmap-driven delivery visits receivers exactly
 	// like the brute-force scan does.
 	bySeq []*Node
-	// index, when set, prunes deliverAll to plausibly-audible nodes.
+	// index, when set, builds each PPDU's audibility bitmap (see
+	// Transmission.aud), pruning delivery, carrier sense and capture to
+	// plausibly-audible nodes.
 	index AudibilityIndex
-	// audBits is the reusable MarkAudible bitmap.
-	audBits []uint64
 
 	// headroomDB caches the channel's DetectHeadroomDB capability.
 	headroomDB  float64
@@ -231,11 +257,16 @@ func (m *Medium) Unregister(n *Node) {
 	// Migration churn leaves nil holes; when they dominate, renumber.
 	// Compaction preserves relative order, so delivery order (and hence
 	// the RNG stream) is unaffected.
+	// Renumbering invalidates the audibility bitmaps of transmissions
+	// still on air: they fall back to treating every node as audible.
 	if len(m.bySeq) >= 256 && len(m.nodes)*2 < len(m.bySeq) {
 		m.bySeq = m.bySeq[:0]
 		for _, x := range m.nodes {
 			x.seq = len(m.bySeq)
 			m.bySeq = append(m.bySeq, x)
+		}
+		for _, t := range m.active {
+			t.aud, t.audN = t.aud[:0], 0
 		}
 	}
 
@@ -257,12 +288,7 @@ func (m *Medium) Unregister(n *Node) {
 
 // registered reports whether n is attached to this medium.
 func (m *Medium) registered(n *Node) bool {
-	for _, x := range m.nodes {
-		if x == n {
-			return true
-		}
-	}
-	return false
+	return n.seq < len(m.bySeq) && m.bySeq[n.seq] == n
 }
 
 // Stats returns medium counters.
@@ -286,13 +312,45 @@ func (m *Medium) NewTransmission() *Transmission {
 }
 
 // releaseTx recycles a pooled transmission. MPDU slices are owned by the
-// sender's aggregator, so the reset only drops the reference.
+// sender's aggregator, so the reset only drops the reference; the
+// audibility bitmap's storage is kept for the next PPDU.
 func (m *Medium) releaseTx(t *Transmission) {
 	if !t.pooled {
 		return
 	}
-	*t = Transmission{pooled: true}
+	*t = Transmission{pooled: true, aud: t.aud[:0]}
 	m.txFree = append(m.txFree, t)
+}
+
+// markAudible builds t's audibility bitmap over the nodes registered
+// now. Without an index, or for a PPDU that outlasts AudibilitySpan, the
+// bitmap stays empty and covers no seq, so every node counts as audible.
+func (m *Medium) markAudible(t *Transmission) {
+	t.aud, t.audN = t.aud[:0], 0
+	if m.index == nil || t.End > t.Start.Add(AudibilitySpan) {
+		return
+	}
+	words := (len(m.bySeq) + 63) / 64
+	if cap(t.aud) < words {
+		t.aud = make([]uint64, words)
+	} else {
+		t.aud = t.aud[:words]
+		clear(t.aud)
+	}
+	m.index.MarkAudible(t.Tx, t.aud)
+	t.audN = len(m.bySeq)
+}
+
+// mayHear reports whether node n can sense, detect or be interfered with
+// by t at time now, as far as t's audibility bitmap knows: a clear bit
+// means no. Nodes the bitmap does not cover — registered after it was
+// built, not registered here, or probed past AudibilitySpan — may.
+func (m *Medium) mayHear(t *Transmission, n *Node, now sim.Time) bool {
+	s := n.seq
+	if s >= t.audN || m.bySeq[s] != n || now > t.Start.Add(AudibilitySpan) {
+		return true
+	}
+	return t.aud[s>>6]&(1<<(s&63)) != 0
 }
 
 // navEnd returns the time until which t occupies the medium for carrier
@@ -306,12 +364,20 @@ func navEnd(t *Transmission) sim.Time {
 }
 
 // busyUntil returns the time until which node n senses the channel busy,
-// including NAV reservations for pending block ACKs.
+// including NAV reservations for pending block ACKs. Transmissions whose
+// audibility bitmap clears n are skipped without a channel probe.
 func (m *Medium) busyUntil(n *Node) sim.Time {
 	var until sim.Time
+	now := m.loop.Now()
 	for _, t := range m.active {
 		end := navEnd(t)
-		if end <= m.loop.Now() {
+		if end <= now {
+			continue
+		}
+		if t.Tx != n && !m.mayHear(t, n, now) {
+			if gateCheck {
+				m.checkSkippedSense(t, n)
+			}
 			continue
 		}
 		if t.Tx == n || m.channel.SenseSNRdB(t.Tx, n) >= senseThresholdDB {
@@ -336,6 +402,12 @@ func (m *Medium) BlockAckOnAir(n *Node) bool {
 			continue
 		}
 		if t.End <= now || t.Start > now.Add(-500*sim.Nanosecond) {
+			continue
+		}
+		if !m.mayHear(t, n, now) {
+			if gateCheck {
+				m.checkSkippedSense(t, n)
+			}
 			continue
 		}
 		if m.channel.SenseSNRdB(t.Tx, n) >= senseThresholdDB {
@@ -388,6 +460,7 @@ func (m *Medium) Transmit(t *Transmission) {
 	t.End = t.Start.Add(t.Airtime())
 	t.expectsBA = t.Type == FrameData && t.Dst != Broadcast
 	t.Tx.transmitting = true
+	m.markAudible(t)
 	m.active = append(m.active, t)
 	m.stats.PPDUs++
 	m.stats.MPDUs += len(t.MPDUs)
@@ -406,42 +479,35 @@ func (m *Medium) Transmit(t *Transmission) {
 	})
 }
 
-// deliverAll evaluates t at every potential receiver. With an audibility
-// index installed only the marked candidates are visited; the set bits
-// are walked in ascending seq order, which is registration order — the
-// same order the brute-force scan uses — so both paths draw from the RNG
-// identically.
+// deliverAll evaluates t at every potential receiver: the nodes marked in
+// t's audibility bitmap, then every node registered after the bitmap was
+// built. Both walks run in ascending seq order, which is registration
+// order — the same order a brute-force scan uses — so index-on and
+// index-off runs draw from the RNG identically.
 func (m *Medium) deliverAll(t *Transmission) {
 	var snrs [rf.NumSubcarriers]float64
-	if m.index == nil {
-		for _, n := range m.nodes {
-			if n == t.Tx || n.Recv == nil {
-				continue
-			}
-			m.deliverOne(t, n, &snrs)
+	end := len(m.bySeq)
+	for w, word := range t.aud {
+		for word != 0 {
+			m.deliverTo(t, m.bySeq[w*64+bits.TrailingZeros64(word)], &snrs)
+			word &= word - 1
 		}
+	}
+	for i := t.audN; i < end; i++ {
+		m.deliverTo(t, m.bySeq[i], &snrs)
+	}
+	if gateCheck {
+		m.checkSkippedDeliveries(t, &snrs)
+	}
+}
+
+// deliverTo evaluates t at n unless n is a hole, the transmitter, or a
+// transmit-only node.
+func (m *Medium) deliverTo(t *Transmission, n *Node, snrs *[rf.NumSubcarriers]float64) {
+	if n == nil || n == t.Tx || n.Recv == nil {
 		return
 	}
-	words := (len(m.bySeq) + 63) / 64
-	if cap(m.audBits) < words {
-		m.audBits = make([]uint64, words)
-	}
-	m.audBits = m.audBits[:words]
-	for i := range m.audBits {
-		m.audBits[i] = 0
-	}
-	m.index.MarkAudible(t.Tx, m.audBits)
-	for w, word := range m.audBits {
-		for word != 0 {
-			i := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			n := m.bySeq[i]
-			if n == nil || n == t.Tx || n.Recv == nil {
-				continue
-			}
-			m.deliverOne(t, n, &snrs)
-		}
-	}
+	m.deliverOne(t, n, snrs)
 }
 
 // deliverOne evaluates t at a single receiver n.
@@ -515,13 +581,23 @@ func (m *Medium) okBuf(k int) []bool {
 }
 
 // collided reports whether an overlapping transmission destroys t at
-// receiver n (interferer within captureMarginDB of t's signal).
+// receiver n (interferer within captureMarginDB of t's signal). An
+// interferer whose audibility bitmap clears n stays at or below
+// AudibleFloorDB there, under any detectable frame's capture margin, so
+// it is skipped without a channel probe.
 func (m *Medium) collided(t *Transmission, n *Node, esnrT float64) bool {
+	now := m.loop.Now()
 	for _, o := range m.active {
 		if o == t || o.Tx == t.Tx || o.Tx == n {
 			continue
 		}
 		if o.End <= t.Start || o.Start >= t.End {
+			continue
+		}
+		if !m.mayHear(o, n, now) {
+			if gateCheck {
+				m.checkSkippedInterferer(o, n, esnrT)
+			}
 			continue
 		}
 		inter := m.channel.SenseSNRdB(o.Tx, n)

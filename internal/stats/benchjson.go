@@ -98,3 +98,48 @@ func WriteBenchJSON(w io.Writer, results []BenchResult) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(results)
 }
+
+// GateSlack is how far a benchmark's allocs/op or bytes/op may drift
+// above its pinned baseline budget before Gate fails it.
+const GateSlack = 1.10
+
+// Gate holds each result to the baseline entry of the same name:
+// allocs/op and bytes/op may each exceed the baseline's by at most
+// GateSlack. A metric is gated only when both sides carry it (results
+// run without -benchmem carry neither). Gate returns one report line per
+// gated metric, how many metrics it gated, and whether all were within
+// budget.
+func Gate(baseline, results []BenchResult) (report []string, gated int, ok bool) {
+	base := make(map[string]BenchResult, len(baseline))
+	for _, b := range baseline {
+		base[b.Name] = b
+	}
+	ok = true
+	for _, r := range results {
+		b, found := base[r.Name]
+		if !found {
+			continue
+		}
+		for _, m := range []struct {
+			unit      string
+			got, want float64
+		}{
+			{"allocs/op", r.AllocsPerOp, b.AllocsPerOp},
+			{"B/op", r.BytesPerOp, b.BytesPerOp},
+		} {
+			if m.got == 0 || m.want == 0 {
+				continue
+			}
+			gated++
+			if m.got > m.want*GateSlack {
+				ok = false
+				report = append(report, fmt.Sprintf("FAIL %s: %.0f %s > budget %.0f +%.0f%%",
+					r.Name, m.got, m.unit, m.want, (GateSlack-1)*100))
+			} else {
+				report = append(report, fmt.Sprintf("ok %s: %.0f %s (budget %.0f)",
+					r.Name, m.got, m.unit, m.want))
+			}
+		}
+	}
+	return report, gated, ok
+}

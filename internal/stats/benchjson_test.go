@@ -63,3 +63,35 @@ func TestWriteBenchJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\nin:  %+v\nout: %+v", in, out)
 	}
 }
+
+// TestGate pins the CI budget gate: allocs/op and bytes/op each fail
+// past GateSlack over the baseline, independently, and results without
+// a baseline entry or without -benchmem figures are not gated.
+func TestGate(t *testing.T) {
+	base := []BenchResult{
+		{Name: "BenchmarkA", AllocsPerOp: 1000, BytesPerOp: 1 << 20},
+		{Name: "BenchmarkB", AllocsPerOp: 1000, BytesPerOp: 1 << 20},
+		{Name: "BenchmarkC", AllocsPerOp: 1000, BytesPerOp: 1 << 20},
+	}
+	for _, tc := range []struct {
+		name      string
+		results   []BenchResult
+		wantGated int
+		wantOK    bool
+	}{
+		{"within budget", []BenchResult{{Name: "BenchmarkA", AllocsPerOp: 1099, BytesPerOp: 1.09 * (1 << 20)}}, 2, true},
+		{"allocs over", []BenchResult{{Name: "BenchmarkA", AllocsPerOp: 1101, BytesPerOp: 1 << 20}}, 2, false},
+		{"bytes over", []BenchResult{{Name: "BenchmarkB", AllocsPerOp: 900, BytesPerOp: 1.11 * (1 << 20)}}, 2, false},
+		{"no benchmem", []BenchResult{{Name: "BenchmarkC", NsPerOp: 5}}, 0, true},
+		{"no baseline", []BenchResult{{Name: "BenchmarkZ", AllocsPerOp: 1e9, BytesPerOp: 1e12}}, 0, true},
+	} {
+		report, gated, ok := Gate(base, tc.results)
+		if gated != tc.wantGated || ok != tc.wantOK {
+			t.Errorf("%s: gated=%d ok=%v, want gated=%d ok=%v\n%s",
+				tc.name, gated, ok, tc.wantGated, tc.wantOK, strings.Join(report, "\n"))
+		}
+		if len(report) != gated {
+			t.Errorf("%s: %d report lines for %d gated metrics", tc.name, len(report), gated)
+		}
+	}
+}

@@ -67,6 +67,12 @@ go test -run 'FuzzScenario' ./internal/scenario/
 # Loop owner-guard diagnostics only compile under the simcheck tag.
 go test -tags simcheck ./internal/sim/
 
+# Audibility-gate invariant: under simcheck the medium re-evaluates by
+# brute force every delivery, carrier-sense and capture probe its
+# per-PPDU audibility bitmap skipped, and panics if one would have
+# crossed its threshold.
+go test -tags simcheck -short ./internal/mac ./internal/core
+
 go test ./...
 
 # Scenario digest-determinism gate: compiling the same scenario twice —
@@ -160,8 +166,8 @@ awk '
 rm -f "$bench_out"
 
 # Datapath allocation gate: the drive-by and 24-segment corridor
-# benchmarks must stay within 10% of the allocs/op budgets pinned in
-# BENCH_baseline.json. Regenerate the baseline (see README) when a
+# benchmarks must stay within 10% of the allocs/op and bytes/op budgets
+# pinned in BENCH_baseline.json. Regenerate the baseline (see README) when a
 # change legitimately moves the budget.
 go test -run=NONE -bench '^BenchmarkMeanPerClientMbps$|^BenchmarkCorridorParallel$' \
     -benchtime=3x -benchmem . | go run ./cmd/wgtt-benchjson -gate BENCH_baseline.json
