@@ -56,7 +56,8 @@ func main() {
 func run() error {
 	var (
 		scenario = flag.String("scenario", "corridor",
-			"scenario to host: "+strings.Join(wgtt.ServeScenarios(), " | "))
+			"scenario to host: an embedded example ("+strings.Join(wgtt.ScenarioNames(), " | ")+
+				") or a path to a scenario file (YAML or JSON)")
 		proc  = flag.Int("proc", 0, "this process's index into -peers / -partition")
 		peers = flag.String("peers", "",
 			"comma-separated peer addresses (unix:/path or tcp:host:port), one per process; empty = run the whole scenario in this process")
@@ -83,11 +84,16 @@ func run() error {
 	logger := log.New(os.Stderr, fmt.Sprintf("wgtt-serve[%d] ", *proc), log.Lmicroseconds)
 
 	// The scenario fixes the deployment shape (scheme, segments, domain
-	// mode); the shared flag surface contributes the seed and the
-	// datapath knobs every process must agree on. The copies are
-	// conditional so an unset flag never stomps a value a scenario file
-	// compiled in (e.g. its channel backend).
-	opt := wgtt.Options{Seed: cfg.Seed, Mutate: func(c *wgtt.Config) {
+	// mode) and its own seed, which an explicit -seed (even -seed 1)
+	// overrides on every process; the shared flag surface contributes
+	// the datapath knobs every process must agree on. The copies are
+	// conditional so an unset flag never stomps a value the scenario
+	// file compiled in (e.g. its channel backend).
+	var seed int64
+	if flagWasSet("seed") {
+		seed = cfg.Seed
+	}
+	opt := wgtt.Options{Seed: seed, Mutate: func(c *wgtt.Config) {
 		if cfg.Audibility != "" {
 			c.Audibility = cfg.Audibility
 		}
@@ -105,11 +111,6 @@ func run() error {
 			c.UnownedSpike = cfg.UnownedSpike
 		}
 	}}
-	if wgtt.ScenarioIsFile(*scenario) && !flagWasSet("seed") {
-		// Without an explicit -seed the scenario file's own seed rules;
-		// a set flag (even -seed 1) overrides it on every process.
-		opt.Seed = 0
-	}
 	sr, err := wgtt.BuildServeScenario(*scenario, opt)
 	if err != nil {
 		return err

@@ -93,7 +93,8 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 
 		scenarioPath = flag.String("scenario", "",
-			"run a declarative scenario file (YAML or JSON) instead of the flag-built deployment")
+			"run a declarative scenario instead of the flag-built deployment: an embedded example ("+
+				strings.Join(wgtt.ScenarioNames(), " | ")+") or a path to a scenario file (YAML or JSON)")
 		genScenario = flag.String("gen-scenario", "",
 			"run a generated scenario: SEED[:SIZE] with SIZE small | medium | large (e.g. 7:medium)")
 		scenarioDigest = flag.Bool("scenario-digest", false,
@@ -342,11 +343,11 @@ func parseGenSpec(s string) (int64, string, error) {
 // runScenario is the declarative-scenario path: load or generate a
 // scenario, compile it, and either print the content digest (the CI
 // determinism gate diffs two of these) or build and run it.
-func runScenario(cfg wgtt.Config, opts wgtt.DeployOptions, path, gen string, digestOnly bool, metrics metricsFlag) error {
+func runScenario(cfg wgtt.Config, opts wgtt.DeployOptions, name, gen string, digestOnly bool, metrics metricsFlag) error {
 	var spec *wgtt.ScenarioSpec
 	var err error
-	if path != "" {
-		spec, err = wgtt.LoadScenario(path)
+	if name != "" {
+		spec, err = wgtt.LoadScenario(name)
 	} else {
 		var seed int64
 		var size string

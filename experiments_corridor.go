@@ -7,9 +7,6 @@ import (
 	"wgtt/internal/rf"
 )
 
-// posXY builds a waypoint position.
-func posXY(x, y float64) rf.Position { return rf.Position{X: x, Y: y} }
-
 // CorridorResult is the transit-corridor scenario at deployment scale:
 // two vehicles riding the full length of a three-segment roadway under
 // WGTT with saturating UDP downlink. It is the workload the per-segment
@@ -42,41 +39,32 @@ func corridorRide(opt Options, mode core.DomainMode) CorridorResult {
 	return corridorRideN(opt, mode, 3, 0)
 }
 
-// corridorSetup constructs the corridor deployment and its workload
-// without running it. It is the single construction path shared by the
-// in-process rides below and wgtt-serve's "corridor" scenario, so a
+// corridorRun builds the compiled examples/scenarios/corridor.yaml with
+// its road set to the given number of segments, each like the file's
+// first, and its horizon capped at maxDur when positive. pre adjusts
+// the config ahead of opt.Mutate. CorridorThroughput, CorridorMMWave and
+// wgtt-serve's "corridor" scenario all build from the one file, so a
 // partitioned multi-process run builds the bit-identical network the
 // parity pins reference.
-func corridorSetup(opt Options, mode core.DomainMode, segments int, maxDur Duration) *ServeRun {
-	const (
-		apsPer  = 4
-		clients = 2
-		mph     = 25
-	)
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
+func corridorRun(opt Options, segments int, maxDur Duration, pre func(*Config)) *ServeRun {
+	spec, err := LoadScenario("corridor")
+	if err != nil {
+		panic(err) // the embedded example is part of the binary
+	}
+	seg := spec.Road.Segments[0]
+	spec.Road.Segments = nil
 	for i := 0; i < segments; i++ {
-		cfg.Segments = append(cfg.Segments, SegmentSpec{NumAPs: apsPer})
+		spec.Road.Segments = append(spec.Road.Segments, seg)
 	}
-	cfg.Domains = mode
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
+	c, err := CompileScenario(spec, opt.Seed)
+	if err != nil {
+		panic(err)
 	}
-	n := NewNetwork(cfg)
-	_, dur := driveAcross(&cfg, mph)
-	if maxDur > 0 && dur > maxDur {
-		dur = maxDur
+	c.Config.Seed = opt.Seed // an experiment seed of 0 is a seed, not "the file's"
+	if maxDur > 0 && c.Horizon > maxDur {
+		c.Horizon = maxDur
 	}
-	lo, _ := cfg.RoadSpanX()
-	r := &ServeRun{Net: n, Cfg: cfg, Dur: dur, APsPerSegment: apsPer, SpeedMPH: mph}
-	for _, traj := range Scenario(Following, clients, lo-5, 0, mph) {
-		c := n.AddClient(traj)
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		r.meters = append(r.meters, f.Meter)
-		r.clients = append(r.clients, c)
-	}
-	return r
+	return BuildScenarioRun(c, opt.mutateFirst(pre))
 }
 
 // corridorRideN is the ride at an arbitrary corridor length; the domain
@@ -85,9 +73,15 @@ func corridorSetup(opt Options, mode core.DomainMode, segments int, maxDur Durat
 // (a long corridor is then only partially ridden, which is fine for
 // timing — every domain still advances through the whole window).
 func corridorRideN(opt Options, mode core.DomainMode, segments int, maxDur Duration) CorridorResult {
-	r := corridorSetup(opt, mode, segments, maxDur)
+	r := corridorRun(opt, segments, maxDur, func(c *Config) { c.Domains = mode })
 	r.Net.Run(r.Dur)
-	res := CorridorResult{Segments: segments, APsPerSegment: r.APsPerSegment, SpeedMPH: r.SpeedMPH}
+	return r.corridorResult()
+}
+
+// corridorResult reads a corridor ride's per-client goodput at the
+// current virtual time.
+func (r *ServeRun) corridorResult() CorridorResult {
+	res := CorridorResult{Segments: len(r.Cfg.Segments), APsPerSegment: r.APsPerSegment, SpeedMPH: r.SpeedMPH}
 	for _, f := range r.Figures(nil) {
 		res.PerClientMbps = append(res.PerClientMbps, f.Mbps)
 	}
@@ -137,9 +131,9 @@ func CorridorFederated(opt Options) CorridorFedResult {
 	trajs := []Trajectory{
 		Drive(-5, 0, 25),
 		NewWaypoints([]Waypoint{
-			{At: 0, Pos: posXY(10, 0)},
-			{At: 4 * Second, Pos: posXY(75, 0)},
-			{At: 9 * Second, Pos: posXY(12, 0)},
+			{At: 0, Pos: rf.Position{X: 10}},
+			{At: 4 * Second, Pos: rf.Position{X: 75}},
+			{At: 9 * Second, Pos: rf.Position{X: 12}},
 		}),
 	}
 	var meters []*throughput

@@ -33,45 +33,13 @@ type CorridorMMWaveResult struct {
 // ~0.67 s, so the ride asserts WGTT's rapid switching well beyond the
 // 2.4 GHz testbed's pace.
 func CorridorMMWave(opt Options) CorridorMMWaveResult {
-	const (
-		segments = 3
-		apsPer   = 4
-		clients  = 2
-		mph      = 25.0
-	)
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
-	cfg.ChannelBackend = "mmwave60g"
-	cfg.Telemetry = true
-	for i := 0; i < segments; i++ {
-		cfg.Segments = append(cfg.Segments, SegmentSpec{NumAPs: apsPer})
-	}
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
-	n := NewNetwork(cfg)
-	_, dur := driveAcross(&cfg, mph)
-	lo, _ := cfg.RoadSpanX()
-	var meters []*throughput
-	for _, traj := range Scenario(Following, clients, lo-5, 0, mph) {
-		c := n.AddClient(traj)
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		meters = append(meters, f.Meter)
-	}
-	n.Run(dur)
-	now := n.Loop.Now()
-
-	res := CorridorMMWaveResult{
-		CorridorResult: CorridorResult{
-			Segments: segments, APsPerSegment: apsPer, SpeedMPH: mph,
-		},
-		CellRadiusM: cfg.MMWave.CellRadiusM,
-	}
-	for _, m := range meters {
-		res.PerClientMbps = append(res.PerClientMbps, m.MeanMbps(now))
-	}
-	res.MeanMbps = mean(res.PerClientMbps)
+	r := corridorRun(opt, 3, 0, func(c *Config) {
+		c.ChannelBackend = "mmwave60g"
+		c.Telemetry = true
+	})
+	n := r.Net
+	n.Run(r.Dur)
+	res := CorridorMMWaveResult{CorridorResult: r.corridorResult(), CellRadiusM: r.Cfg.MMWave.CellRadiusM}
 	for _, ctrl := range n.Controllers() {
 		res.SwitchesIssued += ctrl.SwitchesIssued
 		res.SwitchesAcked += ctrl.SwitchesAcked
@@ -87,8 +55,8 @@ func CorridorMMWave(opt Options) CorridorMMWaveResult {
 			res.HandoffP90Ms = h.Quantile(0.9)
 		}
 	}
-	if minutes := now.Seconds() / 60; minutes > 0 {
-		res.HandoffsPerMinute = float64(res.Handoffs) / minutes / clients
+	if minutes := r.Now().Seconds() / 60; minutes > 0 {
+		res.HandoffsPerMinute = float64(res.Handoffs) / minutes / float64(len(res.PerClientMbps))
 	}
 	return res
 }

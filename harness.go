@@ -82,6 +82,19 @@ func WithMetrics(c *MetricsCollector) Option {
 	return func(o *Options) { o.Metrics = c }
 }
 
+// mutateFirst returns o with pre applied to the config ahead of
+// o.Mutate, so the caller's own mutation keeps the last word.
+func (o Options) mutateFirst(pre func(*Config)) Options {
+	inner := o.Mutate
+	o.Mutate = func(c *Config) {
+		pre(c)
+		if inner != nil {
+			inner(c)
+		}
+	}
+	return o
+}
+
 // runSpecs executes a batch of drive-by throughput runs on the runner and
 // returns goodputs in spec order.
 func runSpecs(opt Options, specs []runner.RunSpec) []float64 {

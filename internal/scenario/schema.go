@@ -10,10 +10,9 @@
 // or JSON; both bind to the same Scenario struct with unknown fields
 // rejected. Compile is a pure function of the Scenario value: no clock,
 // no ambient randomness, no map iteration — the same scenario always
-// compiles to the bit-identical deployment, which is what lets
-// examples/scenarios/corridor.yaml reproduce the hand-built corridor
-// experiment's golden pins byte for byte and what the CI digest gate
-// checks.
+// compiles to the bit-identical deployment, which is what keeps the
+// corridor experiment, built from examples/scenarios/corridor.yaml, on
+// its golden pins byte for byte and what the CI digest gate checks.
 package scenario
 
 import (

@@ -1,15 +1,20 @@
 package wgtt
 
 import (
+	"embed"
+	"fmt"
+	"io/fs"
+	"path"
+	"strings"
+
 	"wgtt/internal/scenario"
 	"wgtt/internal/stats"
 )
 
 // This file is the root-package bridge to internal/scenario: load or
 // generate a declarative scenario, compile it, and build the compiled
-// plan into a runnable ServeRun through the exact same client/workload
-// construction path the hand-built experiments use — which is what
-// keeps a scenario-compiled corridor on the corridor golden pins.
+// plan into a runnable ServeRun. It is the one construction path for
+// the corridor experiments and every wgtt-serve scenario.
 
 // ScenarioSpec is a declarative scenario (internal/scenario.Scenario).
 type ScenarioSpec = scenario.Scenario
@@ -17,9 +22,41 @@ type ScenarioSpec = scenario.Scenario
 // CompiledScenario is a compiled scenario (internal/scenario.Compiled).
 type CompiledScenario = scenario.Compiled
 
-// LoadScenario parses a scenario file (YAML or JSON).
-func LoadScenario(path string) (*ScenarioSpec, error) {
-	return scenario.ParseFile(path)
+// scenarioFiles are the checked-in example scenarios, embedded so a
+// bare name resolves identically from any working directory.
+//
+//go:embed examples/scenarios/*.yaml
+var scenarioFiles embed.FS
+
+// ScenarioNames lists the embedded example scenarios, the bare names
+// LoadScenario accepts.
+func ScenarioNames() []string {
+	paths, _ := fs.Glob(scenarioFiles, "examples/scenarios/*.yaml")
+	names := make([]string, len(paths))
+	for i, p := range paths {
+		names[i] = strings.TrimSuffix(path.Base(p), ".yaml")
+	}
+	return names
+}
+
+// LoadScenario parses a scenario. A bare name, one with no path
+// separator and no extension such as "corridor", resolves to the
+// embedded examples/scenarios file of that name; anything else is a
+// YAML or JSON file on disk.
+func LoadScenario(name string) (*ScenarioSpec, error) {
+	if strings.ContainsAny(name, "/.") {
+		return scenario.ParseFile(name)
+	}
+	data, err := scenarioFiles.ReadFile("examples/scenarios/" + name + ".yaml")
+	if err != nil {
+		return nil, fmt.Errorf("unknown scenario %q (embedded: %s; or give a file path)",
+			name, strings.Join(ScenarioNames(), ", "))
+	}
+	s, err := scenario.Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return s, nil
 }
 
 // ParseScenario parses scenario bytes (YAML or JSON).
@@ -80,10 +117,10 @@ func BuildScenarioRun(c *CompiledScenario, opt Options) *ServeRun {
 	return r
 }
 
-// LoadScenarioRun loads, compiles, and builds a scenario file in one
-// step.
-func LoadScenarioRun(path string, opt Options) (*ServeRun, error) {
-	s, err := LoadScenario(path)
+// LoadScenarioRun loads (see LoadScenario), compiles, and builds a
+// scenario in one step.
+func LoadScenarioRun(name string, opt Options) (*ServeRun, error) {
+	s, err := LoadScenario(name)
 	if err != nil {
 		return nil, err
 	}

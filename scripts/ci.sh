@@ -76,10 +76,11 @@ go test -tags simcheck -short ./internal/mac ./internal/core
 go test ./...
 
 # Scenario digest-determinism gate: compiling the same scenario twice —
-# a generated network and the corridor example — must print the same
-# content digest both times. Nondeterminism here would silently break
-# the golden pins and the parity sweeps above.
-for spec in '-gen-scenario 7:small' '-scenario examples/scenarios/corridor.yaml'; do
+# a generated network and the corridor example, by path and by its
+# embedded bare name — must print the same content digest both times.
+# Nondeterminism here would silently break the golden pins and the
+# parity sweeps above.
+for spec in '-gen-scenario 7:small' '-scenario examples/scenarios/corridor.yaml' '-scenario corridor'; do
     d1=$(go run ./cmd/wgtt-sim $spec -scenario-digest)
     d2=$(go run ./cmd/wgtt-sim $spec -scenario-digest)
     if [ "$d1" != "$d2" ]; then
@@ -88,6 +89,14 @@ for spec in '-gen-scenario 7:small' '-scenario examples/scenarios/corridor.yaml'
     fi
     echo "scenario digest gate: $spec -> $d1"
 done
+# The embedded copy the bare name resolves to must be the checked-in
+# file: different digests mean the two drifted.
+d_file=$(go run ./cmd/wgtt-sim -scenario examples/scenarios/corridor.yaml -scenario-digest)
+d_name=$(go run ./cmd/wgtt-sim -scenario corridor -scenario-digest)
+if [ "$d_file" != "$d_name" ]; then
+    echo "scenario digest gate: embedded corridor ($d_name) drifted from examples/scenarios/corridor.yaml ($d_file)"
+    exit 1
+fi
 
 # Distributed-runtime gate: the corridor sharded across two wgtt-serve
 # processes over unix sockets must merge — figures and telemetry — to

@@ -1,10 +1,6 @@
 package wgtt
 
 import (
-	"fmt"
-	"strings"
-
-	"wgtt/internal/core"
 	"wgtt/internal/trace"
 )
 
@@ -12,11 +8,11 @@ import (
 // multi-process daemon. A partitioned run is SPMD: every process calls
 // BuildServeScenario with the identical name and options, constructs
 // the identical Network, and then executes only its owned share of the
-// domain graph (Network.RunPartitioned). Because the "corridor"
-// scenario builds through the exact construction path of the
-// in-process corridor ride (corridorSetup), a sharded run is
-// bit-comparable to CorridorThroughput — that is what the
-// multi-process parity test pins.
+// domain graph (Network.RunPartitioned). Every scenario is a compiled
+// scenario file, and the in-process corridor ride (CorridorThroughput)
+// builds from the same compiled corridor.yaml, so a sharded "corridor"
+// run is bit-comparable to it — that is what the multi-process parity
+// test pins.
 
 // ServeRun is a constructed-but-not-yet-run scenario: the network, its
 // workload, and how long to ride. Callers advance it with Net.Run (one
@@ -106,117 +102,19 @@ func StitchTrace(shards ...[]TraceRecord) []TraceRecord { return trace.Stitch(sh
 // (internal/trace.Handoffs).
 func TraceHandoffs(recs []TraceRecord) []trace.Handoff { return trace.Handoffs(recs) }
 
-// ServeScenarios lists the scenario names BuildServeScenario accepts.
-// A name with a path separator or an extension is instead treated as a
-// declarative scenario file (see ScenarioIsFile).
-func ServeScenarios() []string { return []string{"corridor", "shuttle"} }
-
-// ScenarioIsFile reports whether a -scenario argument names a
-// declarative scenario file rather than a built-in scenario: built-in
-// names are bare words, files carry a path separator or an extension.
-func ScenarioIsFile(name string) bool {
-	return strings.Contains(name, "/") || strings.Contains(name, ".")
-}
-
-// BuildServeScenario constructs a named scenario for wgtt-serve.
-//
-//   - "corridor": the three-segment two-client 25 mph ride of
-//     CorridorThroughput, built through the same construction path so
-//     the figures are bit-comparable, with telemetry on. Clients cross
-//     every segment, so a partitioned run migrates them between
-//     processes ("segs,server" is the natural two-process split).
-//   - "shuttle": the same roadway, but each client shuttles inside its
-//     home segment (client 0 in seg0, client 1 in seg2) and never
-//     crosses a segment boundary. Partitions that cut between segments
-//     ("seg0,seg1+seg2,server") therefore never migrate a client
-//     between processes — the demo topology for one daemon per street
-//     block.
-//
-// A name for which ScenarioIsFile holds loads a declarative scenario
-// file (internal/scenario) instead and compiles it onto the same
-// serving shape: telemetry on, DomainsSerial within the process. The
-// file's own seed applies unless opt.Seed overrides it.
-//
-// Both scenarios run the domain-mode network serially within each
-// process (DomainsSerial); parallelism comes from the partition.
+// BuildServeScenario constructs a scenario for wgtt-serve: name is a
+// bare embedded-example name ("corridor", "shuttle"; see ScenarioNames)
+// or a scenario file path, resolved by LoadScenario. The compiled run
+// serves with telemetry on and, on a multi-segment road, DomainsSerial
+// within the process; parallelism comes from the partition. The file's
+// own seed applies unless opt.Seed overrides it.
 func BuildServeScenario(name string, opt Options) (*ServeRun, error) {
-	if ScenarioIsFile(name) {
-		inner := opt.Mutate
-		opt.Mutate = func(c *Config) {
-			c.Telemetry = true
-			// Domain mode needs a multi-segment deployment; a
-			// single-segment scenario serves on the classic loop.
-			if len(c.Segments) >= 2 {
-				c.Domains = core.DomainsSerial
-			}
-			if inner != nil {
-				inner(c)
-			}
+	return LoadScenarioRun(name, opt.mutateFirst(func(c *Config) {
+		c.Telemetry = true
+		// Domain mode needs a multi-segment deployment; a
+		// single-segment scenario serves on the classic loop.
+		if len(c.Segments) >= 2 {
+			c.Domains = DomainsSerial
 		}
-		return LoadScenarioRun(name, opt)
-	}
-	switch name {
-	case "corridor":
-		inner := opt.Mutate
-		opt.Mutate = func(c *Config) {
-			c.Telemetry = true
-			if inner != nil {
-				inner(c)
-			}
-		}
-		return corridorSetup(opt, core.DomainsSerial, 3, 0), nil
-	case "shuttle":
-		return shuttleSetup(opt), nil
-	default:
-		return nil, fmt.Errorf("unknown scenario %q (have corridor, shuttle)", name)
-	}
-}
-
-// shuttleBounce builds a trajectory that shuttles between x0 and x1 in
-// lane y for at least dur, pausing briefly at each end like a transit
-// stop.
-func shuttleBounce(x0, x1, y float64, dur Duration) *Waypoints {
-	const (
-		leg   = 1500 * Millisecond // one end-to-end sweep
-		dwell = 250 * Millisecond  // stop at each end
-	)
-	pts := []Waypoint{{At: 0, Pos: posXY(x0, y)}}
-	at := Duration(0)
-	ends := [2]float64{x1, x0}
-	for i := 0; at < dur+leg; i++ {
-		at += dwell
-		pts = append(pts, Waypoint{At: at, Pos: pts[len(pts)-1].Pos})
-		at += leg
-		pts = append(pts, Waypoint{At: at, Pos: posXY(ends[i%2], y)})
-	}
-	return NewWaypoints(pts)
-}
-
-// shuttleSetup is the "shuttle" scenario: the corridor roadway with
-// segment-bound clients (see BuildServeScenario).
-func shuttleSetup(opt Options) *ServeRun {
-	const apsPer = 4
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
-	cfg.Segments = []SegmentSpec{{NumAPs: apsPer}, {NumAPs: apsPer}, {NumAPs: apsPer}}
-	cfg.Domains = DomainsSerial
-	cfg.Telemetry = true
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
-	n := NewNetwork(cfg)
-	dur := 8 * Second
-	r := &ServeRun{Net: n, Cfg: cfg, Dur: dur, APsPerSegment: apsPer, SpeedMPH: 0}
-
-	// Segment x-ranges at the default 7.5 m pitch: seg0 covers APs at
-	// 0–22.5 m, seg2 covers 60–82.5 m. The shuttles stay several AP
-	// pitches clear of the segment boundaries.
-	for _, span := range [][3]float64{{3, 19, 0}, {63, 79, -3}} {
-		c := n.AddClient(shuttleBounce(span[0], span[1], span[2], dur))
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		r.meters = append(r.meters, f.Meter)
-		r.clients = append(r.clients, c)
-	}
-	return r
+	}))
 }
