@@ -209,11 +209,10 @@ func BenchmarkTable5WebPageLoad(b *testing.B) {
 
 // BenchmarkCorridorParallel times a two-client ride through a
 // 24-segment corridor (96 APs) executed as per-segment event-loop
-// domains: round-robin on one goroutine (domains-serial) vs one
-// goroutine per domain (domains-parallel). The two produce bit-identical
-// results, so the ratio of their times is the pure speedup of the
-// conservative parallel execution; it scales with physical cores (on a
-// single-core host the parallel form only pays the barrier overhead).
+// domains, in serial and in parallel mode. Both modes share one round
+// loop, which runs each round's active domains one after another and
+// skips the domains a round cannot touch, so the two results are
+// bit-identical and their times should match.
 // The ride is capped at 10 simulated seconds to bound each iteration.
 func BenchmarkCorridorParallel(b *testing.B) {
 	for _, mode := range []core.DomainMode{core.DomainsSerial, core.DomainsParallel} {

@@ -265,7 +265,12 @@ func (s *httpState) setHealth(proc int, now wgtt.Time, dur wgtt.Duration) {
 
 // writeWaitStats renders the coordinator's barrier-wait histograms as
 // Prometheus lines. Wall-clock state — deliberately outside the
-// registry (whose output is byte-compared across process layouts).
+// registry (whose output is byte-compared across process layouts). A
+// domain counts only the rounds it was active in: a round that skipped
+// it (no event due) adds neither to wgtt_coord_wait_rounds nor to its
+// wait sum or buckets, so per-domain round counts differ and fall short
+// of the coordinator's round count (see sim.WaitStat). Serial
+// coordinators record no waits.
 func writeWaitStats(w io.Writer, stats []sim.WaitStat) {
 	if len(stats) == 0 {
 		return

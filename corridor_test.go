@@ -23,10 +23,9 @@ var goldenCorridor = map[int64]string{
 
 // TestCorridorDomainParity is the tentpole's end-to-end gate: the
 // three-segment two-client ride compiled from
-// examples/scenarios/corridor.yaml must render bit-identically whether
-// the segment domains execute round-robin on one goroutine
-// (DomainsSerial) or one goroutine per domain (DomainsParallel), and
-// both must match the golden pin per seed.
+// examples/scenarios/corridor.yaml must render bit-identically as
+// DomainsSerial and as DomainsParallel, and both must match the golden
+// pin per seed.
 func TestCorridorDomainParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full corridor rides per seed")

@@ -74,8 +74,11 @@ const (
 	// (own loop, own medium partition, mailbox trunks) but executes the
 	// synchronization rounds domain-by-domain on one goroutine.
 	DomainsSerial
-	// DomainsParallel is the same partition with one goroutine per
-	// domain; bit-identical to DomainsSerial by construction.
+	// DomainsParallel is the same partition and the same round loop,
+	// plus barrier-wait statistics (Coordinator.EnableWaitStats);
+	// bit-identical to DomainsSerial by construction. Its rounds run on
+	// one goroutine too: a round holds too little work to pay for
+	// handing domains to other cores (DESIGN §6).
 	DomainsParallel
 )
 

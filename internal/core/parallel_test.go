@@ -50,7 +50,7 @@ func domainRideSignature(t *testing.T, seed int64, mode DomainMode, prop sim.Dur
 
 // TestDomainParitySerialParallel pins the conservative-synchronization
 // guarantee at the core layer: per-segment domains produce bit-identical
-// results whether they run on one goroutine or one per domain.
+// results in DomainsSerial and DomainsParallel mode.
 func TestDomainParitySerialParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 8 s corridor rides per seed")

@@ -58,8 +58,8 @@ type RunSpec struct {
 	// Warmup delays flow start; zero means DefaultWarmup.
 	Warmup sim.Duration
 	// Domains, when not SingleLoop, partitions a multi-segment network
-	// into per-segment event-loop domains (serial rounds or one
-	// goroutine per segment). Applied after Mutate.
+	// into per-segment event-loop domains (DomainsSerial or
+	// DomainsParallel). Applied after Mutate.
 	Domains core.DomainMode
 	// Metrics, when non-nil, enables Config.Telemetry on the run's
 	// network and folds the end-of-run snapshot into the collector under

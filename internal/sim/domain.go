@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -29,9 +28,12 @@ import (
 // receiving Loop at its arrival time. Each Loop assigns its own monotonic
 // sequence numbers, so the event order inside every domain is a pure
 // function of (round schedule, mailbox registration order, per-domain event
-// history) and is identical whether rounds run serially or on one goroutine
-// per domain. Parallel execution is therefore bit-identical to serial
-// execution of the same domain graph — and, because typed envelopes are
+// history) and does not depend on the order in which a round's domains
+// run. A round runs only the domains with an event due inside it; any
+// other domain's Loop.Run would fire nothing and only move its clock,
+// which the coordinator does directly, so skipping it changes no schedule
+// either. Both coordinator modes therefore produce the same schedule for
+// the same domain graph — and, because typed envelopes are
 // data (see envelope.go), so is multi-process execution of a partition of
 // it (see shard.go): the same envelopes reach the same mailboxes at the
 // same times in the same order, whether by reference or by wire.
@@ -146,11 +148,15 @@ func (m *Mailbox) deliver(at Time, env Envelope, trace uint64) {
 }
 
 // Coordinator advances a set of domains in lockstep rounds of width equal
-// to the lookahead, draining mailboxes at the barrier between rounds. With
-// parallel=false the rounds run domain-by-domain on the calling goroutine;
-// with parallel=true each domain gets a worker goroutine and rounds are
-// separated by a WaitGroup barrier. Both modes produce bit-identical
-// results (see the package comment above).
+// to the lookahead, draining mailboxes at the barrier between rounds.
+// Each round runs only its active domains — those with an event due by
+// the round end — one after another on the calling goroutine, and moves
+// every other domain's clock to the round end. The corridor averages
+// 2.5 active domains per round of a few microseconds of host time, too
+// little work to pay for handing domains to other cores: a worker pool
+// measured slower than running them in turn. Both modes share this one
+// round loop; parallel=true only adds barrier-wait collection
+// (EnableWaitStats).
 type Coordinator struct {
 	lookahead Duration
 	parallel  bool
@@ -160,10 +166,14 @@ type Coordinator struct {
 	rounds    int64
 	exchanges int64
 	// waitStats, when non-nil, collects per-domain wall-clock barrier
-	// waits in parallel mode (EnableWaitStats). workNs is the workers'
-	// per-round scratch; written before wg.Done, read after wg.Wait.
+	// waits in parallel mode (EnableWaitStats). workNs is the per-round
+	// scratch, indexed by domain id.
 	waitStats []waitRec
 	workNs    []int64
+
+	// active lists the current round's domains with an event due by its
+	// end, in registration order; reused so a round allocates nothing.
+	active []*Domain
 }
 
 // NewCoordinator returns a coordinator advancing time in rounds of width
@@ -176,7 +186,8 @@ func NewCoordinator(lookahead Duration, parallel bool) *Coordinator {
 	return &Coordinator{lookahead: lookahead, parallel: parallel}
 }
 
-// Parallel reports whether rounds execute on per-domain goroutines.
+// Parallel reports whether the coordinator was built in parallel mode,
+// which collects barrier waits once EnableWaitStats is called.
 func (c *Coordinator) Parallel() bool { return c.parallel }
 
 // Lookahead returns the round width.
@@ -245,8 +256,7 @@ func (c *Coordinator) nextEventAt() (Time, bool) {
 }
 
 // Run advances all domains to virtual time until. It may be called
-// repeatedly to advance incrementally. In parallel mode the per-domain
-// workers live only for the duration of the call.
+// repeatedly to advance incrementally.
 func (c *Coordinator) Run(until Time) {
 	if until <= c.now {
 		return
@@ -255,33 +265,7 @@ func (c *Coordinator) Run(until Time) {
 	// before the first round executes.
 	c.drain()
 
-	var work []chan Time
-	var wg sync.WaitGroup
-	if c.parallel {
-		work = make([]chan Time, len(c.domains))
-		for i, d := range c.domains {
-			ch := make(chan Time)
-			work[i] = ch
-			go func(i int, d *Domain, ch chan Time) {
-				for end := range ch {
-					if c.waitStats != nil {
-						t0 := time.Now()
-						d.Loop.Run(end)
-						c.workNs[i] = time.Since(t0).Nanoseconds()
-					} else {
-						d.Loop.Run(end)
-					}
-					wg.Done()
-				}
-			}(i, d, ch)
-		}
-		defer func() {
-			for _, ch := range work {
-				close(ch)
-			}
-		}()
-	}
-
+	timed := c.waitStats != nil && c.parallel
 	for c.now < until {
 		end := c.now.Add(c.lookahead)
 		if ne, ok := c.nextEventAt(); !ok {
@@ -298,28 +282,39 @@ func (c *Coordinator) Run(until Time) {
 		if end > until {
 			end = until
 		}
-		if c.parallel {
-			var t0 time.Time
-			if c.waitStats != nil {
-				t0 = time.Now()
-			}
-			wg.Add(len(c.domains))
-			for _, ch := range work {
-				ch <- end
-			}
-			wg.Wait()
-			if c.waitStats != nil {
-				c.recordWaits(time.Since(t0).Nanoseconds())
-			}
-		} else {
-			for _, d := range c.domains {
-				d.Loop.Run(end)
-			}
-		}
+		c.runRound(end, timed)
 		c.drain()
 		c.now = end
 		c.rounds++
 	}
+}
+
+// runRound executes the round (c.now, end]: the domains with an event due
+// by end run to it in registration order, and every other domain only has
+// its clock moved there. timed records each active domain's work time for
+// the barrier-wait statistics.
+func (c *Coordinator) runRound(end Time, timed bool) {
+	c.active = c.active[:0]
+	for _, d := range c.domains {
+		if t, ok := d.Loop.NextEventAt(); ok && t <= end {
+			c.active = append(c.active, d)
+		} else {
+			d.Loop.advance(end)
+		}
+	}
+	if !timed {
+		for _, d := range c.active {
+			d.Loop.Run(end)
+		}
+		return
+	}
+	r0 := time.Now()
+	for _, d := range c.active {
+		t0 := time.Now()
+		d.Loop.Run(end)
+		c.workNs[d.id] = time.Since(t0).Nanoseconds()
+	}
+	c.recordWaits(time.Since(r0).Nanoseconds())
 }
 
 // Rounds returns the number of synchronization rounds executed so far —
@@ -339,9 +334,15 @@ type waitRec struct {
 	buckets [8]int64 // len(WaitBoundsNs)+1
 }
 
-// WaitStat summarizes one domain's wall-clock barrier waits: the time
-// the domain's worker spent idle at round barriers waiting for the
-// slowest domain of each round. Wall-clock and therefore
+// WaitStat summarizes one domain's wall-clock barrier waits. A domain
+// records a round only when it was active in it (had an event due by the
+// round end); its wait is that round's wall time minus the time spent
+// running the domain's own events, i.e. the time it sat at the barrier
+// for the round's other active domains. A domain skipped in a round —
+// its clock merely moved to the round end — records neither a round nor
+// a wait, so Rounds counts the rounds the domain worked in, not the
+// coordinator's rounds, and SumNs/Rounds is the mean wait per working
+// round. Serial coordinators record nothing. Wall-clock and therefore
 // nondeterministic — this deliberately lives outside the telemetry
 // registry (whose snapshots must be a pure function of the simulated
 // schedule) and is surfaced through wgtt-serve's introspection
@@ -355,9 +356,9 @@ type WaitStat struct {
 }
 
 // EnableWaitStats turns on barrier-wait collection for subsequent
-// parallel Run calls (two clock reads per domain per round; off by
-// default so the hot path stays untouched). Serial rounds have no
-// barrier waits and record nothing.
+// Run calls of a parallel-mode coordinator (two clock reads per active
+// domain per round; off by default so the hot path stays untouched).
+// A serial-mode coordinator records nothing.
 func (c *Coordinator) EnableWaitStats() {
 	if c.waitStats == nil {
 		c.waitStats = make([]waitRec, len(c.domains))
@@ -365,15 +366,16 @@ func (c *Coordinator) EnableWaitStats() {
 	}
 }
 
-// recordWaits folds one parallel round's per-domain waits (round wall
-// time minus the domain's own work time) into the histograms.
+// recordWaits folds one timed round's waits (round wall time minus
+// the domain's own work time) into the histograms of the round's active
+// domains; skipped domains record nothing.
 func (c *Coordinator) recordWaits(roundNs int64) {
-	for i := range c.waitStats {
-		wait := roundNs - c.workNs[i]
+	for _, d := range c.active {
+		wait := roundNs - c.workNs[d.id]
 		if wait < 0 {
 			wait = 0
 		}
-		r := &c.waitStats[i]
+		r := &c.waitStats[d.id]
 		r.rounds++
 		r.sumNs += wait
 		if wait > r.maxNs {

@@ -83,6 +83,18 @@ type peer struct {
 
 	wmu sync.Mutex
 
+	// dmu serialises delivery per peer: the sequence check, the
+	// nextRecv advance and the inbox send form one step, so the reader
+	// of a draining old connection (round S) and the reader of its
+	// redialled replacement (round S+1) cannot queue out of order. It
+	// is not mu because the inbox send waits for Exchange; that send
+	// also gives up when the transport closes, so dmu is never held
+	// forever.
+	dmu sync.Mutex
+	// accepted, if set, runs between a round's sequence check and its
+	// inbox send (a test hook for the reader interleaving above).
+	accepted func(seq int64)
+
 	inbox chan sim.RoundMsg
 }
 
@@ -458,31 +470,47 @@ func (p *peer) readLoop(conn net.Conn) {
 			p.t.shutdown(fmt.Errorf("wire: peer %d: %w", p.idx, err))
 			return
 		}
-		p.mu.Lock()
-		if m.Seq < p.nextRecv {
-			p.mu.Unlock()
-			p.t.stats.dedupDrops.Add(1)
-			continue // duplicate after a resend
-		}
-		if m.Seq > p.nextRecv {
-			want := p.nextRecv
-			p.mu.Unlock()
-			p.t.shutdown(fmt.Errorf("wire: peer %d skipped from round %d to %d", p.idx, want, m.Seq))
+		if !p.deliver(m) {
 			return
 		}
-		p.nextRecv++
-		// The peer sending round S proves it completed exchange S-1,
-		// which required our frames below S: drop them.
-		for s := range p.sent {
-			if s < m.Seq {
-				delete(p.sent, s)
-			}
-		}
+	}
+}
+
+// deliver queues m on the exchange inbox if it is the next round
+// expected from the peer, drops it as a duplicate if it is older, and
+// shuts the transport down on a gap. It reports whether the reader
+// should go on reading.
+func (p *peer) deliver(m sim.RoundMsg) bool {
+	p.dmu.Lock()
+	defer p.dmu.Unlock()
+	p.mu.Lock()
+	if m.Seq < p.nextRecv {
 		p.mu.Unlock()
-		select {
-		case p.inbox <- m:
-		case <-p.t.closed:
-			return
+		p.t.stats.dedupDrops.Add(1)
+		return true // duplicate after a resend
+	}
+	if m.Seq > p.nextRecv {
+		want := p.nextRecv
+		p.mu.Unlock()
+		p.t.shutdown(fmt.Errorf("wire: peer %d skipped from round %d to %d", p.idx, want, m.Seq))
+		return false
+	}
+	p.nextRecv++
+	// The peer sending round S proves it completed exchange S-1,
+	// which required our frames below S: drop them.
+	for s := range p.sent {
+		if s < m.Seq {
+			delete(p.sent, s)
 		}
+	}
+	p.mu.Unlock()
+	if p.accepted != nil {
+		p.accepted(m.Seq)
+	}
+	select {
+	case p.inbox <- m:
+		return true
+	case <-p.t.closed:
+		return false
 	}
 }

@@ -170,6 +170,38 @@ func TestTransportReconnectMidRound(t *testing.T) {
 	}
 }
 
+// TestPeerDeliverKeepsRoundOrder pins per-peer delivery order when two
+// readers overlap, as after a redial: the old connection's reader has
+// accepted round 5 but not yet queued it when the new connection's
+// reader delivers round 6. Round 6 must wait for round 5 rather than
+// reach the inbox first (which Exchange reports as "peer 1 sent round 6
+// during exchange 5"). The hook parks the first reader in exactly that
+// window and gives the second one ample time to overtake it.
+func TestPeerDeliverKeepsRoundOrder(t *testing.T) {
+	tr := &Transport{closed: make(chan struct{})}
+	p := &peer{t: tr, idx: 1, sent: map[int64][]byte{}, nextRecv: 5, inbox: make(chan sim.RoundMsg, 4)}
+	secondDone := make(chan struct{})
+	p.accepted = func(seq int64) {
+		if seq != 5 {
+			return
+		}
+		go func() {
+			defer close(secondDone)
+			p.deliver(testRound(1, 6))
+		}()
+		select {
+		case <-secondDone:
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	p.deliver(testRound(1, 5))
+	<-secondDone
+	first, second := <-p.inbox, <-p.inbox
+	if first.Seq != 5 || second.Seq != 6 {
+		t.Fatalf("inbox order: round %d then %d, want 5 then 6", first.Seq, second.Seq)
+	}
+}
+
 func TestTransportDigestMismatch(t *testing.T) {
 	var other [32]byte
 	copy(other[:], "some-other-config")

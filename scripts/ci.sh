@@ -26,7 +26,7 @@ go build ./...
 # federation package's directory/relocate RPCs ride those trunks; shake
 # all four under the race detector first. The TestDomain* parity tests
 # then exercise full corridor rides (including fault-injected and
-# workload-bearing ones) with one goroutine per segment domain.
+# workload-bearing ones) in both domain modes.
 go test -race ./internal/runner/ ./internal/sim/ ./internal/deploy/ ./internal/federation/
 go test -race -run 'TestDomain' ./internal/core/
 go test -race -run 'TestDomain' .

@@ -111,8 +111,9 @@ const (
 	SingleLoop = core.SingleLoop
 	// DomainsSerial partitions per segment but runs on one goroutine.
 	DomainsSerial = core.DomainsSerial
-	// DomainsParallel runs one goroutine per segment domain;
-	// bit-identical to DomainsSerial by construction.
+	// DomainsParallel is DomainsSerial with barrier-wait statistics
+	// available (wgtt-serve's introspection); the rounds themselves run
+	// the same way, on one goroutine, so results are bit-identical.
 	DomainsParallel = core.DomainsParallel
 )
 
