@@ -1,9 +1,12 @@
 package wgtt
 
 import (
+	"runtime"
+	"syscall"
 	"testing"
 
 	"wgtt/internal/core"
+	"wgtt/internal/stats"
 )
 
 // The benchmarks below regenerate every table and figure of the paper's
@@ -16,6 +19,15 @@ import (
 // EXPERIMENTS.md records a full run next to the paper's numbers.
 
 func benchOpts(i int) Options { return Options{Seed: int64(i + 1)} }
+
+// cpuNs returns the process CPU time (user + system, all threads).
+func cpuNs(b *testing.B) int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}
 
 // BenchmarkMeanPerClientMbps times one full 15 mph UDP drive-by — the
 // unit of work every end-to-end figure fans out over the runner.
@@ -209,63 +221,60 @@ func BenchmarkTable5WebPageLoad(b *testing.B) {
 
 // BenchmarkCorridorParallel times a two-client ride through a
 // 24-segment corridor (96 APs) executed as per-segment event-loop
-// domains, in serial and in parallel mode. Both modes share one round
-// loop, which runs each round's active domains one after another and
-// skips the domains a round cannot touch, so the two results are
-// bit-identical and their times should match.
-// The ride is capped at 10 simulated seconds to bound each iteration.
+// domains, whose round loop runs each round's active domains one after
+// another and skips the domains a round cannot touch. The ride is
+// capped at 10 simulated seconds to bound each iteration.
 func BenchmarkCorridorParallel(b *testing.B) {
-	for _, mode := range []core.DomainMode{core.DomainsSerial, core.DomainsParallel} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := corridorRideN(benchOpts(i), mode, 24, 10*Second)
-				b.ReportMetric(r.MeanMbps, "Mbps")
-			}
-		})
-	}
-}
-
-// BenchmarkCorridorParallelMetrics is the same 24-segment
-// domains-parallel ride with the full telemetry registry enabled —
-// per-AP counters and queue-depth series, handoff spans, 100 ms
-// samplers in every domain. Compared against the DomainsParallel case
-// of BenchmarkCorridorParallel it measures the end-to-end overhead of
-// instrumentation on the hot path; scripts/ci.sh gates the ratio at 5%.
-func BenchmarkCorridorParallelMetrics(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		opt := benchOpts(i)
-		opt.Mutate = func(c *Config) { c.Telemetry = true }
-		r := corridorRideN(opt, core.DomainsParallel, 24, 10*Second)
+		r := corridorRideN(benchOpts(i), core.DomainsSerial, 24, 10*Second)
 		b.ReportMetric(r.MeanMbps, "Mbps")
 	}
 }
 
-// BenchmarkCorridorParallelFlightRec is BenchmarkCorridorParallelMetrics
-// with the causal flight recorder live in every domain — per-switch
-// structured records, trace-register propagation, and the latency-band
-// anomaly trigger. The delta against the recorder-off ride prices
-// recording on the hot path; scripts/ci.sh gates the ratio at 5% (and
-// the disabled path adds no allocations: records are value-typed and a
-// nil recorder is a no-op).
-func BenchmarkCorridorParallelFlightRec(b *testing.B) {
-	b.ReportAllocs()
+// flightRecOn is telemetryOn plus the causal flight recorder live in
+// every domain — per-switch structured records, trace-register
+// propagation, and the latency-band anomaly trigger.
+func flightRecOn(c *Config) {
+	telemetryOn(c)
+	c.FlightRecorder = 4096
+	c.HandoffBandLoMs, c.HandoffBandHiMs = 17, 21
+}
+
+// BenchmarkCorridorOverhead prices instrumentation on the hot path of
+// BenchmarkCorridorParallel's ride. Each op rides one seed three times
+// — plain, with the full telemetry registry (per-AP counters and
+// queue-depth series, handoff spans, 100 ms samplers in every domain),
+// and with telemetry plus the flight recorder — in an order that
+// rotates per op, and charges each ride the process CPU time it took
+// plus a full collection of its garbage. CPU time leaves out the time
+// the process sat waiting for a core, and the interleaving lands a
+// drifting host load on all three alike. It reports the medians over
+// ops of the per-op telemetry ratio (metrics/base) and recorder ratio
+// (rec/metrics), which scripts/ci.sh gates at 5%.
+func BenchmarkCorridorOverhead(b *testing.B) {
+	variants := []func(*Config){nil, telemetryOn, flightRecOn}
+	var telemetry, recorder stats.CDF
 	for i := 0; i < b.N; i++ {
-		opt := benchOpts(i)
-		opt.Mutate = func(c *Config) {
-			c.Telemetry = true
-			c.FlightRecorder = 4096
-			c.HandoffBandLoMs, c.HandoffBandHiMs = 17, 21
+		cpu := make([]float64, len(variants))
+		for k := range variants {
+			v := (i + k) % len(variants)
+			opt := benchOpts(i)
+			opt.Mutate = variants[v]
+			t0 := cpuNs(b)
+			corridorRideN(opt, core.DomainsSerial, 24, 10*Second)
+			runtime.GC()
+			cpu[v] = float64(cpuNs(b) - t0)
 		}
-		r := corridorRideN(opt, core.DomainsParallel, 24, 10*Second)
-		b.ReportMetric(r.MeanMbps, "Mbps")
+		telemetry.Add(cpu[1] / cpu[0])
+		recorder.Add(cpu[2] / cpu[1])
 	}
+	b.ReportMetric(telemetry.Quantile(0.5), "metrics/base")
+	b.ReportMetric(recorder.Quantile(0.5), "rec/metrics")
 }
 
 // BenchmarkCorridorFederated times an eight-segment federated corridor
-// ride in parallel-domain mode with the full fault machinery live: ring
+// ride in domain mode with the full fault machinery live: ring
 // trunk, directory replication on every handoff, and a fault schedule
 // injecting a mid-ride outage plus random trunk drops and jitter. The
 // delta against an unfederated ride of the same size prices the
@@ -282,7 +291,7 @@ func BenchmarkCorridorFederated(b *testing.B) {
 				JitterMax: 40 * Microsecond,
 			}
 		}
-		r := corridorRideN(opt, core.DomainsParallel, 8, 10*Second)
+		r := corridorRideN(opt, core.DomainsSerial, 8, 10*Second)
 		b.ReportMetric(r.MeanMbps, "Mbps")
 	}
 }

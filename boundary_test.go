@@ -7,9 +7,10 @@ import (
 	"wgtt/internal/core"
 )
 
-// boundaryRide is the corridor ride with the boundary-interference
-// exchange on, returning the rendered result plus the exchange counters.
-func boundaryRide(seed int64, mode core.DomainMode) (rendered string, posted, applied int) {
+// boundaryRide is the corridor ride in domain mode with the
+// boundary-interference exchange on, returning the rendered result plus
+// the exchange counters.
+func boundaryRide(seed int64) (rendered string, posted, applied int) {
 	const (
 		segments = 3
 		apsPer   = 4
@@ -21,7 +22,7 @@ func boundaryRide(seed int64, mode core.DomainMode) (rendered string, posted, ap
 	for i := 0; i < segments; i++ {
 		cfg.Segments = append(cfg.Segments, SegmentSpec{NumAPs: apsPer})
 	}
-	cfg.Domains = mode
+	cfg.Domains = core.DomainsSerial
 	cfg.BoundaryInterference = true
 	n := NewNetwork(cfg)
 	_, dur := driveAcross(&cfg, mph)
@@ -43,34 +44,38 @@ func boundaryRide(seed int64, mode core.DomainMode) (rendered string, posted, ap
 	return render(res), posted, applied
 }
 
+// goldenBoundary pins boundaryRide for seeds 1–3: the rendered result
+// and the exchange counters.
+var goldenBoundary = map[int64]string{
+	1: `wgtt.CorridorResult{Segments:3, APsPerSegment:4, SpeedMPH:25, PerClientMbps:[]float64{11.270447024376253, 9.886638556301467}, MeanMbps:10.57854279033886} posted=6641 applied=1189`,
+	2: `wgtt.CorridorResult{Segments:3, APsPerSegment:4, SpeedMPH:25, PerClientMbps:[]float64{9.77803322987623, 11.849987082450378}, MeanMbps:10.814010156163304} posted=6630 applied=981`,
+	3: `wgtt.CorridorResult{Segments:3, APsPerSegment:4, SpeedMPH:25, PerClientMbps:[]float64{8.749774265684708, 11.212683037766329}, MeanMbps:9.98122865172552} posted=6597 applied=1075`,
+}
+
 // TestBoundaryInterferenceParity pins the cross-domain interference
-// exchange: with the feature on, DomainsSerial and DomainsParallel must
-// stay bit-identical to each other (the exchange rides the same
-// conservative mailboxes as all other cross-domain traffic), and the
-// exchange must actually fire — boundary-zone transmissions posted to
-// neighbours and remote interference applied to deliveries.
+// exchange: with the feature on, the domain ride must match its golden
+// pin (the exchange rides the same conservative mailboxes as all other
+// cross-domain traffic), and the exchange must actually fire —
+// boundary-zone transmissions posted to neighbours and remote
+// interference applied to deliveries.
 func TestBoundaryInterferenceParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full corridor rides per seed")
+		t.Skip("a full corridor ride per seed")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			serial, sPosted, sApplied := boundaryRide(seed, core.DomainsSerial)
-			parallel, pPosted, pApplied := boundaryRide(seed, core.DomainsParallel)
-			if serial != parallel {
-				t.Errorf("parallel domains diverged from serial domains\n%s",
-					firstDiff(serial, parallel))
+			rendered, posted, applied := boundaryRide(seed)
+			got := fmt.Sprintf("%s posted=%d applied=%d", rendered, posted, applied)
+			if got != goldenBoundary[seed] {
+				t.Errorf("boundary-interference ride drifted\n%s",
+					firstDiffLabeled("want", "got", goldenBoundary[seed], got))
 			}
-			if sPosted != pPosted || sApplied != pApplied {
-				t.Errorf("exchange counters diverged: serial posted=%d applied=%d, parallel posted=%d applied=%d",
-					sPosted, sApplied, pPosted, pApplied)
-			}
-			if sPosted == 0 {
+			if posted == 0 {
 				t.Error("no boundary-zone transmissions were exported; the exchange never fired")
 			}
-			if sApplied == 0 {
+			if applied == 0 {
 				t.Error("no delivery saw remote interference; the penalty path never fired")
 			}
 		})
@@ -104,7 +109,7 @@ func TestBoundaryInterferenceValidation(t *testing.T) {
 		t.Error("single-loop + BoundaryInterference validated; want error")
 	}
 	cfg.Segments = []SegmentSpec{{NumAPs: 2}, {NumAPs: 2}}
-	cfg.Domains = core.DomainsParallel
+	cfg.Domains = core.DomainsSerial
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid boundary-interference config rejected: %v", err)
 	}

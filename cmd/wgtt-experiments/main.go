@@ -35,7 +35,7 @@ func main() {
 		workers = flag.Int("workers", 0, "cap parallel workers per experiment (0 = GOMAXPROCS)")
 
 		parallelSegments = flag.Bool("parallel-segments", false,
-			"run each multi-segment network's segments as parallel event-loop domains")
+			"run each multi-segment network's segments as conservatively synchronized event-loop domains")
 
 		metrics    = flag.Bool("metrics", false, "print a per-case telemetry summary after each experiment")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")

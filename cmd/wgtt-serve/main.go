@@ -269,8 +269,10 @@ func (s *httpState) setHealth(proc int, now wgtt.Time, dur wgtt.Duration) {
 // domain counts only the rounds it was active in: a round that skipped
 // it (no event due) adds neither to wgtt_coord_wait_rounds nor to its
 // wait sum or buckets, so per-domain round counts differ and fall short
-// of the coordinator's round count (see sim.WaitStat). Serial
-// coordinators record no waits.
+// of the coordinator's round count (see sim.WaitStat). A round's wall
+// time includes its opening barrier, so in a partitioned run a wait
+// includes the peer exchange: the time spent waiting on the other
+// processes. Domains another process executes report zero rounds.
 func writeWaitStats(w io.Writer, stats []sim.WaitStat) {
 	if len(stats) == 0 {
 		return

@@ -375,7 +375,7 @@ func runScenario(cfg wgtt.Config, opts wgtt.DeployOptions, name, gen string, dig
 	r := wgtt.BuildScenarioRun(comp, wgtt.Options{Mutate: func(c *wgtt.Config) {
 		c.Telemetry = metrics.on
 		if opts.ParallelSegments && len(c.Segments) >= 2 {
-			c.Domains = core.DomainsParallel
+			c.Domains = core.DomainsSerial
 		}
 		if cfg.Audibility != "" {
 			c.Audibility = cfg.Audibility

@@ -23,18 +23,17 @@ type CorridorResult struct {
 // CorridorThroughput rides two following clients at 25 mph across a
 // three-segment corridor (4 APs per segment at the paper's 7.5 m pitch)
 // and reports per-client UDP goodput. With Options.ParallelSegments the
-// segments execute as parallel event-loop domains; otherwise the ride
-// runs on the exact single-loop path.
+// segments execute as event-loop domains; otherwise the ride runs on
+// the exact single-loop path.
 func CorridorThroughput(opt Options) CorridorResult {
 	mode := core.SingleLoop
 	if opt.ParallelSegments {
-		mode = core.DomainsParallel
+		mode = core.DomainsSerial
 	}
 	return corridorRide(opt, mode)
 }
 
-// corridorRide is the mode-explicit form the domain parity tests drive:
-// DomainsSerial and DomainsParallel must render bit-identically.
+// corridorRide is the mode-explicit form the domain tests drive.
 func corridorRide(opt Options, mode core.DomainMode) CorridorResult {
 	return corridorRideN(opt, mode, 3, 0)
 }
@@ -121,7 +120,7 @@ func CorridorFederated(opt Options) CorridorFedResult {
 	}
 	cfg.Telemetry = true // the result reports trunk drop counters
 	if opt.ParallelSegments {
-		cfg.Domains = core.DomainsParallel
+		cfg.Domains = core.DomainsSerial
 	}
 	if opt.Mutate != nil {
 		opt.Mutate(&cfg)

@@ -70,7 +70,7 @@ func WithSerial(serial bool) Option { return func(o *Options) { o.Serial = seria
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithParallelSegments runs each multi-segment network's segments as
-// conservatively synchronized event-loop domains (DomainsParallel: each
+// conservatively synchronized event-loop domains (DomainsSerial: each
 // round runs only the segments with an event due).
 // Single-segment networks ignore it and stay on the exact serial path.
 func WithParallelSegments(on bool) Option {
@@ -126,7 +126,7 @@ func throughputSpec(scheme Scheme, opt Options, trajs []Trajectory, dur Duration
 		Metrics:     opt.Metrics,
 	}
 	if opt.ParallelSegments {
-		spec.Domains = core.DomainsParallel
+		spec.Domains = core.DomainsSerial
 	}
 	return spec
 }
@@ -154,7 +154,7 @@ func buildNetwork(scheme Scheme, opt Options) *Network {
 	cfg := DefaultConfig(scheme)
 	cfg.Seed = opt.Seed
 	if opt.ParallelSegments {
-		cfg.Domains = core.DomainsParallel
+		cfg.Domains = core.DomainsSerial
 	}
 	if opt.Mutate != nil {
 		opt.Mutate(&cfg)

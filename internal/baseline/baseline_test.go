@@ -299,3 +299,27 @@ func TestReleasedAPDropsQueue(t *testing.T) {
 		t.Errorf("released AP retains %d queued packets", got)
 	}
 }
+
+// TestRoamerTieGoesToLowestAP pins the candidate scan order: two
+// candidates with equal smoothed RSSI, the higher one heard first, must
+// resolve to the lower AP every time. Repeated so a scan in map order
+// (randomized per iteration) could not pass by luck.
+func TestRoamerTieGoesToLowestAP(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		r := newRig(t, 3)
+		r.aps[0].ForceAssociate(r.cli.Addr, r.cli.IP)
+		cfg := DefaultRoamerConfig()
+		cfg.Debounce = 1
+		roamer := NewRoamer(r.loop, r.medium, r.cli, r.aps[0].Node(), cfg)
+		r.cli.OnBeacon(r.aps[2].Node(), 25)
+		r.cli.OnBeacon(r.aps[1].Node(), 25)
+		r.cli.OnBeacon(r.aps[0].Node(), 2)
+		if got := roamer.target; got != r.aps[1].Node() {
+			name := "no roam"
+			if got != nil {
+				name = got.Name
+			}
+			t.Fatalf("repeat %d: tie resolved to %s, want %s", i, name, r.aps[1].Node().Name)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package baseline
 
 import (
+	"slices"
+	"sort"
+
 	"wgtt/internal/backhaul"
 	"wgtt/internal/client"
 	"wgtt/internal/mac"
@@ -84,6 +87,7 @@ type Roamer struct {
 	cfg    RoamerConfig
 
 	rssi      map[*mac.Node]float64 // smoothed per-AP RSSI
+	heard     []*mac.Node           // APs with an RSSI entry, in node order
 	firstSeen map[*mac.Node]sim.Time
 	lastSeen  map[*mac.Node]sim.Time
 	current   *mac.Node
@@ -141,6 +145,8 @@ func (r *Roamer) onBeacon(tx *mac.Node, esnrDB float64) {
 	if _, ok := r.firstSeen[tx]; !ok {
 		r.firstSeen[tx] = now
 		r.rssi[tx] = esnrDB
+		i := sort.Search(len(r.heard), func(i int) bool { return r.heard[i].Seq() > tx.Seq() })
+		r.heard = slices.Insert(r.heard, i, tx)
 	} else {
 		w := r.cfg.EWMAWeight
 		r.rssi[tx] = w*r.rssi[tx] + (1-w)*esnrDB
@@ -185,14 +191,15 @@ func (r *Roamer) evaluate(lost bool) {
 		return // current AP not convincingly below threshold yet
 	}
 	cur := r.rssi[r.current]
-	// Pick the best candidate heard recently.
+	// Pick the best candidate heard recently, scanning in node order so
+	// the lowest AP wins a tie.
 	var best *mac.Node
 	bestVal := cur
-	for ap, v := range r.rssi {
+	for _, ap := range r.heard {
 		if ap == r.current {
 			continue
 		}
-		if best == nil || v > bestVal {
+		if v := r.rssi[ap]; best == nil || v > bestVal {
 			best, bestVal = ap, v
 		}
 	}

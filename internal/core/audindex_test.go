@@ -58,8 +58,8 @@ func indexRideSignature(t *testing.T, seed int64, mode DomainMode, noIndex bool)
 }
 
 // TestAudibilityIndexParity pins the tentpole guarantee of the spatial
-// audibility index: with the index on, every run — serial domains,
-// parallel domains, seeds 1–3 — produces byte-identical delivery figures
+// audibility index: with the index on, every run — one shared loop,
+// segment domains, seeds 1–3 — produces byte-identical delivery figures
 // AND byte-identical telemetry to the brute-force all-nodes scan. The
 // index is a pure prefilter; it must never change what the medium does.
 func TestAudibilityIndexParity(t *testing.T) {
@@ -67,7 +67,7 @@ func TestAudibilityIndexParity(t *testing.T) {
 		t.Skip("four 6 s corridor rides per seed")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		for _, mode := range []DomainMode{DomainsSerial, DomainsParallel} {
+		for _, mode := range []DomainMode{SingleLoop, DomainsSerial} {
 			on := indexRideSignature(t, seed, mode, false)
 			off := indexRideSignature(t, seed, mode, true)
 			if on != off {

@@ -71,15 +71,12 @@ const (
 	// classic, exactly-serial path every golden figure pins.
 	SingleLoop DomainMode = iota
 	// DomainsSerial partitions the deployment into per-segment domains
-	// (own loop, own medium partition, mailbox trunks) but executes the
-	// synchronization rounds domain-by-domain on one goroutine.
+	// (own loop, own medium partition, mailbox trunks) and executes the
+	// synchronization rounds domain-by-domain on one goroutine: a round
+	// holds too little work to pay for handing domains to other cores
+	// (DESIGN §6). A partitioned run spreads the same domains over
+	// processes instead (Network.RunPartitioned).
 	DomainsSerial
-	// DomainsParallel is the same partition and the same round loop,
-	// plus barrier-wait statistics (Coordinator.EnableWaitStats);
-	// bit-identical to DomainsSerial by construction. Its rounds run on
-	// one goroutine too: a round holds too little work to pay for
-	// handing domains to other cores (DESIGN §6).
-	DomainsParallel
 )
 
 // String implements fmt.Stringer.
@@ -89,8 +86,6 @@ func (m DomainMode) String() string {
 		return "single-loop"
 	case DomainsSerial:
 		return "domains-serial"
-	case DomainsParallel:
-		return "domains-parallel"
 	}
 	return "DomainMode(?)"
 }

@@ -159,12 +159,12 @@ func (n *Network) segmentForPos(pos rf.Position) int {
 // resulting behaviour is NOT bit-identical to the single-loop path (the
 // medium is partitioned, so cross-segment radio interference disappears
 // and per-segment RNG streams replace the shared one); what IS guaranteed
-// is that DomainsSerial and DomainsParallel are bit-identical to each
-// other, which is what the parity tests pin.
+// is that the in-process run and every partitioned multi-process run of
+// it are bit-identical to each other, which the parity tests pin.
 func newDomainNetwork(cfg Config, model channel.Model) (*Network, error) {
 	geoms := cfg.segmentGeoms()
 	lookahead := cfg.Trunk.PropDelay
-	coord := sim.NewCoordinator(lookahead, cfg.Domains == DomainsParallel)
+	coord := sim.NewCoordinator(lookahead)
 	rng := sim.NewRNG(cfg.Seed)
 	n := &Network{
 		Cfg:         cfg,
@@ -299,8 +299,8 @@ func newDomainNetwork(cfg Config, model channel.Model) (*Network, error) {
 // that transmissions within BoundaryZoneM of a shared boundary are
 // exported to the neighbour as co-channel interference. The export rides
 // the same mailboxes (and therefore the same trunk-propagation
-// lookahead) as all other cross-domain traffic, so DomainsSerial and
-// DomainsParallel stay bit-identical to each other.
+// lookahead) as all other cross-domain traffic, so in-process and
+// partitioned runs stay bit-identical to each other.
 func (n *Network) wireBoundaryInterference(geoms []deploy.Geometry) {
 	lastX := func(i int) float64 {
 		return geoms[i].FirstAPX + float64(geoms[i].NumAPs-1)*geoms[i].APSpacing

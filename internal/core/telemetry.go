@@ -32,8 +32,8 @@ func (n *Network) initTelemetrySingle(loop *sim.Loop, numSegs int) {
 // initTelemetryDomains builds the registry for domain mode: one shard
 // per segment plus the root shard for the server domain, each with its
 // own sampler on its own loop. All samplers tick on the same absolute
-// 100 ms grid, so serial and parallel domain execution see identical
-// event schedules and stay bit-identical.
+// 100 ms grid, so in-process and partitioned runs see identical event
+// schedules and stay bit-identical.
 func (n *Network) initTelemetryDomains(coord *sim.Coordinator, server *sim.Domain) {
 	n.tel = telemetry.NewRegistry()
 	n.telRoot = n.tel.Scope("server")
@@ -55,8 +55,8 @@ func (n *Network) initTelemetryDomains(coord *sim.Coordinator, server *sim.Domai
 // domain: the depth of its outgoing cross-domain envelope queue and how
 // much lookahead slack its local schedule has, sampled on the 100 ms
 // series grid. Both read only virtual-schedule state — never wall
-// clock — so serial, parallel, and partitioned runs sample identical
-// values and the merged snapshots stay bit-identical.
+// clock — so in-process and partitioned runs sample identical values
+// and the merged snapshots stay bit-identical.
 func (n *Network) domainIntrospection(sc telemetry.Scope, coord *sim.Coordinator, dom *sim.Domain) {
 	loop := dom.Loop
 	la := coord.Lookahead()

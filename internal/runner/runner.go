@@ -31,8 +31,9 @@ type Exec struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// ParallelSegments runs each multi-segment network's segments as
-	// conservative parallel domains (core.DomainsParallel); see
-	// RunSpec.Domains. Single-segment networks ignore it.
+	// conservatively synchronized event-loop domains
+	// (core.DomainsSerial); see RunSpec.Domains. Single-segment
+	// networks ignore it.
 	ParallelSegments bool
 }
 

@@ -32,11 +32,11 @@ import (
 // run. A round runs only the domains with an event due inside it; any
 // other domain's Loop.Run would fire nothing and only move its clock,
 // which the coordinator does directly, so skipping it changes no schedule
-// either. Both coordinator modes therefore produce the same schedule for
-// the same domain graph — and, because typed envelopes are
-// data (see envelope.go), so is multi-process execution of a partition of
-// it (see shard.go): the same envelopes reach the same mailboxes at the
-// same times in the same order, whether by reference or by wire.
+// either. Because typed envelopes are data (see envelope.go), a
+// multi-process execution of a partition of the graph (see shard.go)
+// runs the same round loop and produces the same schedule: the same
+// envelopes reach the same mailboxes at the same times in the same
+// order, whether by reference or by wire.
 
 // Domain is one event loop in a partitioned simulation. All state owned by
 // a domain must only be touched from its Loop's callbacks; the only legal
@@ -154,20 +154,19 @@ func (m *Mailbox) deliver(at Time, env Envelope, trace uint64) {
 // every other domain's clock to the round end. The corridor averages
 // 2.5 active domains per round of a few microseconds of host time, too
 // little work to pay for handing domains to other cores: a worker pool
-// measured slower than running them in turn. Both modes share this one
-// round loop; parallel=true only adds barrier-wait collection
-// (EnableWaitStats).
+// measured slower than running them in turn. Run and RunPartitioned
+// share this one round loop (runRounds); they differ only in the
+// barrier that opens each round.
 type Coordinator struct {
 	lookahead Duration
-	parallel  bool
 	domains   []*Domain
 	boxes     []*Mailbox
 	now       Time
 	rounds    int64
 	exchanges int64
 	// waitStats, when non-nil, collects per-domain wall-clock barrier
-	// waits in parallel mode (EnableWaitStats). workNs is the per-round
-	// scratch, indexed by domain id.
+	// waits (EnableWaitStats). workNs is the per-round scratch,
+	// indexed by domain id.
 	waitStats []waitRec
 	workNs    []int64
 
@@ -179,16 +178,12 @@ type Coordinator struct {
 // NewCoordinator returns a coordinator advancing time in rounds of width
 // lookahead. Panics if lookahead is not positive: a zero lookahead admits
 // no conservative parallelism.
-func NewCoordinator(lookahead Duration, parallel bool) *Coordinator {
+func NewCoordinator(lookahead Duration) *Coordinator {
 	if lookahead <= 0 {
 		panic("sim: coordinator lookahead must be positive")
 	}
-	return &Coordinator{lookahead: lookahead, parallel: parallel}
+	return &Coordinator{lookahead: lookahead}
 }
-
-// Parallel reports whether the coordinator was built in parallel mode,
-// which collects barrier waits once EnableWaitStats is called.
-func (c *Coordinator) Parallel() bool { return c.parallel }
 
 // Lookahead returns the round width.
 func (c *Coordinator) Lookahead() Duration { return c.lookahead }
@@ -256,46 +251,76 @@ func (c *Coordinator) nextEventAt() (Time, bool) {
 }
 
 // Run advances all domains to virtual time until. It may be called
-// repeatedly to advance incrementally.
+// repeatedly to advance incrementally. The first round's barrier
+// delivers anything posted during construction (sender clocks at zero).
 func (c *Coordinator) Run(until Time) {
-	if until <= c.now {
-		return
+	if until > c.now {
+		_ = c.runRounds(until, nil, nil) // no peers, so no barrier fails
 	}
-	// Deliver anything posted during construction (sender clocks at zero)
-	// before the first round executes.
-	c.drain()
+}
 
-	timed := c.waitStats != nil && c.parallel
+// runRounds is the round loop Run and RunPartitioned share. own marks
+// the domains this process executes (nil: all of them). Each round
+// opens with a barrier, and a closing one delivers what the last round
+// posted, so every call leaves every mailbox empty.
+func (c *Coordinator) runRounds(until Time, own []bool, bus PeerBus) error {
+	timed := c.waitStats != nil
+	var r0 time.Time
 	for c.now < until {
+		if timed {
+			r0 = time.Now()
+		}
+		next, hasNext, err := c.barrier(own, bus, false)
+		if err != nil {
+			return err
+		}
 		end := c.now.Add(c.lookahead)
-		if ne, ok := c.nextEventAt(); !ok {
+		if !hasNext {
 			// Nothing pending anywhere and all mailboxes are drained:
 			// no event can materialize, so jump straight to the horizon.
 			end = until
-		} else if s := ne.Add(-c.lookahead); s > end {
+		} else if s := next.Add(-c.lookahead); s > end {
 			// The earliest event is more than a round away. Advance in
-			// one idle round to ne-L so the next round (ne-L, ne]
-			// contains it. Identical in serial and parallel mode, so
-			// the fast-forward preserves bit-identity.
+			// one idle round to next-L so the next round (next-L, next]
+			// contains it.
 			end = s
 		}
 		if end > until {
 			end = until
 		}
-		c.runRound(end, timed)
-		c.drain()
+		c.runRound(end, own, timed)
+		if timed {
+			c.recordWaits(time.Since(r0).Nanoseconds())
+		}
 		c.now = end
 		c.rounds++
 	}
+	_, _, err := c.barrier(own, bus, true)
+	return err
 }
 
-// runRound executes the round (c.now, end]: the domains with an event due
-// by end run to it in registration order, and every other domain only has
-// its clock moved there. timed records each active domain's work time for
-// the barrier-wait statistics.
-func (c *Coordinator) runRound(end Time, timed bool) {
+// barrier delivers pending envelopes — by local drain, or by the peer
+// exchange when bus is set — and returns the earliest pending event
+// across the graph. flush marks the closing barrier of a call.
+func (c *Coordinator) barrier(own []bool, bus PeerBus, flush bool) (Time, bool, error) {
+	if bus != nil {
+		return c.exchangeRound(own, bus, flush)
+	}
+	c.drain()
+	next, ok := c.nextEventAt()
+	return next, ok, nil
+}
+
+// runRound executes the round (c.now, end] over the owned domains: those
+// with an event due by end run to it in registration order, and every
+// other owned domain only has its clock moved there. timed records each
+// active domain's work time for the barrier-wait statistics.
+func (c *Coordinator) runRound(end Time, own []bool, timed bool) {
 	c.active = c.active[:0]
 	for _, d := range c.domains {
+		if own != nil && !own[d.id] {
+			continue
+		}
 		if t, ok := d.Loop.NextEventAt(); ok && t <= end {
 			c.active = append(c.active, d)
 		} else {
@@ -308,13 +333,11 @@ func (c *Coordinator) runRound(end Time, timed bool) {
 		}
 		return
 	}
-	r0 := time.Now()
 	for _, d := range c.active {
 		t0 := time.Now()
 		d.Loop.Run(end)
 		c.workNs[d.id] = time.Since(t0).Nanoseconds()
 	}
-	c.recordWaits(time.Since(r0).Nanoseconds())
 }
 
 // Rounds returns the number of synchronization rounds executed so far —
@@ -337,16 +360,16 @@ type waitRec struct {
 // WaitStat summarizes one domain's wall-clock barrier waits. A domain
 // records a round only when it was active in it (had an event due by the
 // round end); its wait is that round's wall time minus the time spent
-// running the domain's own events, i.e. the time it sat at the barrier
-// for the round's other active domains. A domain skipped in a round —
-// its clock merely moved to the round end — records neither a round nor
-// a wait, so Rounds counts the rounds the domain worked in, not the
-// coordinator's rounds, and SumNs/Rounds is the mean wait per working
-// round. Serial coordinators record nothing. Wall-clock and therefore
-// nondeterministic — this deliberately lives outside the telemetry
-// registry (whose snapshots must be a pure function of the simulated
-// schedule) and is surfaced through wgtt-serve's introspection
-// endpoints instead.
+// running the domain's own events. The wall time includes the round's
+// opening barrier: the mailbox drain, or in a partitioned run the peer
+// exchange, so there a wait includes waiting on the other processes. A
+// domain skipped in a round, or owned by another process, records
+// neither a round nor a wait, so Rounds counts the rounds the domain
+// worked in, not the coordinator's rounds, and SumNs/Rounds is the mean
+// wait per working round. Wall-clock and therefore nondeterministic —
+// this deliberately lives outside the telemetry registry (whose
+// snapshots must be a pure function of the simulated schedule) and is
+// surfaced through wgtt-serve's introspection endpoints instead.
 type WaitStat struct {
 	Domain  string  `json:"domain"`
 	Rounds  int64   `json:"rounds"`
@@ -355,10 +378,9 @@ type WaitStat struct {
 	Buckets []int64 `json:"buckets"` // per WaitBoundsNs, last = overflow
 }
 
-// EnableWaitStats turns on barrier-wait collection for subsequent
-// Run calls of a parallel-mode coordinator (two clock reads per active
-// domain per round; off by default so the hot path stays untouched).
-// A serial-mode coordinator records nothing.
+// EnableWaitStats turns on barrier-wait collection for subsequent Run
+// and RunPartitioned calls (two clock reads per active domain per
+// round; off by default so the hot path stays untouched).
 func (c *Coordinator) EnableWaitStats() {
 	if c.waitStats == nil {
 		c.waitStats = make([]waitRec, len(c.domains))
@@ -426,6 +448,3 @@ func (c *Coordinator) PendingEnvelopesFrom(d *Domain) int {
 	}
 	return n
 }
-
-// RunFor advances the simulation by d from the coordinator's current time.
-func (c *Coordinator) RunFor(d Duration) { c.Run(c.now.Add(d)) }

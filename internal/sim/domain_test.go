@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -9,11 +11,11 @@ import (
 // a self-rescheduling local event that mixes its RNG and, every few firings,
 // posts a value to a neighbour with a randomized (but >= minDelay) arrival
 // offset. Every action appends to a per-domain log; concatenating the logs
-// gives a signature that must be independent of serial vs parallel rounds.
-func ringSignature(t *testing.T, seed int64, nDom int, parallel bool) []string {
+// gives the ride's signature.
+func ringSignature(t *testing.T, seed int64, nDom int) []string {
 	t.Helper()
 	const lookahead = 200 * Microsecond
-	c := NewCoordinator(lookahead, parallel)
+	c := NewCoordinator(lookahead)
 	doms := make([]*Domain, nDom)
 	logs := make([][]string, nDom)
 	for i := range doms {
@@ -72,41 +74,19 @@ func ringSignature(t *testing.T, seed int64, nDom int, parallel bool) []string {
 	return sig
 }
 
-// TestCoordinatorParallelMatchesSerial is the core conservative-sync
-// guarantee: parallel rounds are bit-identical to serial rounds.
-func TestCoordinatorParallelMatchesSerial(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		serial := ringSignature(t, seed, 5, false)
-		par := ringSignature(t, seed, 5, true)
-		if len(serial) != len(par) {
-			t.Fatalf("seed %d: log length %d (serial) != %d (parallel)",
-				seed, len(serial), len(par))
-		}
-		for i := range serial {
-			if serial[i] != par[i] {
-				t.Fatalf("seed %d: first divergence at entry %d:\n serial: %s\n parallel: %s",
-					seed, i, serial[i], par[i])
-			}
-		}
-		if len(serial) == 0 {
-			t.Fatalf("seed %d: empty signature — harness produced no events", seed)
-		}
-	}
-}
-
 // TestCoordinatorStressRace exercises many domains with randomized mailbox
 // delays under the race detector (scripts/ci.sh runs this package with
 // -race). The workload itself is the ring harness at a larger scale.
 func TestCoordinatorStressRace(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		if sig := ringSignature(t, seed, 9, true); len(sig) == 0 {
+		if sig := ringSignature(t, seed, 9); len(sig) == 0 {
 			t.Fatalf("seed %d: empty signature", seed)
 		}
 	}
 }
 
 func TestMailboxPostBelowMinDelayPanics(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	mb := c.Connect(a, b, 200*Microsecond)
@@ -127,7 +107,7 @@ func TestMailboxPostBelowMinDelayPanics(t *testing.T) {
 // in one shared Mailbox.checkDelay, so neither direction nor API can
 // drift to unvalidated posts.
 func TestMailboxPostBelowMinDelayPanicsBothDirections(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	fwd := c.Connect(a, b, 200*Microsecond)
@@ -154,7 +134,7 @@ func TestMailboxPostBelowMinDelayPanicsBothDirections(t *testing.T) {
 }
 
 func TestConnectBelowLookaheadPanics(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	defer func() {
@@ -169,7 +149,7 @@ func TestConnectBelowLookaheadPanics(t *testing.T) {
 // cost one round per lookahead interval: a single event 10s out must fire,
 // and all clocks must land exactly on the horizon.
 func TestCoordinatorIdleFastForward(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	fired := false
@@ -189,7 +169,7 @@ func TestCoordinatorIdleFastForward(t *testing.T) {
 // (sender clocks at zero) are delivered, including ones landing inside the
 // very first round.
 func TestCoordinatorConstructionPosts(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	mb := c.Connect(a, b, 200*Microsecond)
@@ -202,79 +182,108 @@ func TestCoordinatorConstructionPosts(t *testing.T) {
 	}
 }
 
-// sparseRun is the outcome of one sparseSignature ride.
-type sparseRun struct {
-	sig []string
-	// rounds with exactly one / several domains firing events, among
-	// the Run calls that advanced exactly one round.
-	oneActive, multiActive int
+// kindTestSparse is the sparse harness's typed envelope: one message
+// hop, as data, so the harness can run partitioned.
+const kindTestSparse EnvelopeKind = 1002
+
+type sparseMsg struct {
+	Val, Hops, From int
 }
 
-// sparseSignature rides a random mailbox graph on which activity is
-// sparse, the corridor's shape: two source domains fire at random gaps
-// (from a quarter round to many rounds, so idle fast-forwards happen
-// too), now and then posting to a random out-neighbour, and every
-// delivery may be forwarded a few more hops. All other domains sit idle
-// until a message reaches them. The ride advances in a seeded mix of
-// single-round and multi-round Run calls and checks after each that
-// every domain's clock equals the coordinator's.
-func sparseSignature(t *testing.T, seed int64, parallel bool) sparseRun {
-	t.Helper()
+func init() {
+	RegisterEnvelope(kindTestSparse, EnvelopeCodec{
+		Name: "test-sparse",
+		Encode: func(p any, b []byte) []byte {
+			m := p.(*sparseMsg)
+			for _, v := range []int{m.Val, m.Hops, m.From} {
+				b = binary.BigEndian.AppendUint64(b, uint64(v))
+			}
+			return b
+		},
+		Decode: func(b []byte) (any, error) {
+			if len(b) != 24 {
+				return nil, errors.New("test-sparse: bad length")
+			}
+			v := func(i int) int { return int(int64(binary.BigEndian.Uint64(b[8*i:]))) }
+			return &sparseMsg{Val: v(0), Hops: v(1), From: v(2)}, nil
+		},
+	})
+}
+
+// sparseGraph is a random mailbox graph on which activity is sparse,
+// the corridor's shape: two source domains fire at random gaps (from a
+// quarter round to many rounds, so idle fast-forwards happen too), now
+// and then posting to a random out-neighbour, and every delivery may be
+// forwarded a few more hops. All other domains sit idle until a message
+// reaches them. Every action appends to a per-domain log.
+type sparseGraph struct {
+	c    *Coordinator
+	doms []*Domain
+	logs [][]string
+}
+
+const sparseLookahead = 200 * Microsecond
+
+func newSparseGraph(seed int64) *sparseGraph {
 	const nDom = 16
-	const lookahead = 200 * Microsecond
-	const horizon = Time(200 * Millisecond)
-	c := NewCoordinator(lookahead, parallel)
+	g := &sparseGraph{
+		c:    NewCoordinator(sparseLookahead),
+		doms: make([]*Domain, nDom),
+		logs: make([][]string, nDom),
+	}
 	rng := NewRNG(seed)
-	doms := make([]*Domain, nDom)
-	logs := make([][]string, nDom)
-	for i := range doms {
-		doms[i] = c.NewDomain(fmt.Sprintf("d%d", i))
+	for i := range g.doms {
+		g.doms[i] = g.c.NewDomain(fmt.Sprintf("d%d", i))
 	}
 	type edge struct {
 		to int
 		mb *Mailbox
 	}
 	out := make([][]edge, nDom)
-	g := rng.Fork("graph")
-	for i := range doms {
-		for j := range doms {
-			if i != j && g.Intn(4) == 0 {
-				mb := c.Connect(doms[i], doms[j], lookahead+Duration(g.Intn(4))*50*Microsecond)
-				out[i] = append(out[i], edge{j, mb})
-			}
-		}
-	}
 	// send posts a message with hops forwards left from domain i to a
-	// random out-neighbour; its receiver logs it and may pass it on.
-	var send func(i, hops, val int, r *RNG)
-	send = func(i, hops, val int, r *RNG) {
+	// random out-neighbour.
+	send := func(i, hops, val int, r *RNG) {
 		if len(out[i]) == 0 {
 			return
 		}
 		e := out[i][r.Intn(len(out[i]))]
-		at := doms[i].Loop.Now().Add(e.mb.minDelay + Duration(r.Intn(400))*Microsecond)
-		e.mb.PostFunc(at, func() {
-			dst := e.to
-			logs[dst] = append(logs[dst], fmt.Sprintf("d%d recv %d hops %d from d%d @%v",
-				dst, val, hops, i, doms[dst].Loop.Now()))
-			if hops > 0 && val%3 != 0 {
-				// Seeded from the message alone: domains share no stream.
-				dr := NewRNG(seed ^ int64(val)<<8 ^ int64(dst))
-				doms[dst].Loop.After(Duration(dr.Intn(300))*Microsecond, func() {
-					send(dst, hops-1, val*7+dst, dr)
-				})
+		at := g.doms[i].Loop.Now().Add(e.mb.minDelay + Duration(r.Intn(400))*Microsecond)
+		e.mb.Post(at, Envelope{Kind: kindTestSparse, Payload: &sparseMsg{Val: val, Hops: hops, From: i}})
+	}
+	gr := rng.Fork("graph")
+	for i := range g.doms {
+		for j := range g.doms {
+			if i == j || gr.Intn(4) != 0 {
+				continue
 			}
-		})
+			mb := g.c.Connect(g.doms[i], g.doms[j], sparseLookahead+Duration(gr.Intn(4))*50*Microsecond)
+			out[i] = append(out[i], edge{j, mb})
+			// The receiver logs the message and may pass it on.
+			dst := j
+			mb.OnReceive(kindTestSparse, func(p any) {
+				m := p.(*sparseMsg)
+				g.logs[dst] = append(g.logs[dst], fmt.Sprintf("d%d recv %d hops %d from d%d @%v",
+					dst, m.Val, m.Hops, m.From, g.doms[dst].Loop.Now()))
+				if m.Hops > 0 && m.Val%3 != 0 {
+					// Seeded from the message alone: domains share no stream.
+					dr := NewRNG(seed ^ int64(m.Val)<<8 ^ int64(dst))
+					hops, val := m.Hops-1, m.Val*7+dst
+					g.doms[dst].Loop.After(Duration(dr.Intn(300))*Microsecond, func() {
+						send(dst, hops, val, dr)
+					})
+				}
+			})
+		}
 	}
 	for _, src := range []int{0, nDom / 2} {
 		src := src
 		r := rng.Fork(fmt.Sprintf("src%d", src))
-		l := doms[src].Loop
+		l := g.doms[src].Loop
 		fires := 0
 		var tick func()
 		tick = func() {
 			fires++
-			logs[src] = append(logs[src], fmt.Sprintf("d%d tick%d @%v", src, fires, l.Now()))
+			g.logs[src] = append(g.logs[src], fmt.Sprintf("d%d tick%d @%v", src, fires, l.Now()))
 			if r.Intn(2) == 0 {
 				send(src, 3, fires*100+src, r)
 			}
@@ -286,33 +295,66 @@ func sparseSignature(t *testing.T, seed int64, parallel bool) sparseRun {
 		}
 		l.After(Duration(10+r.Intn(500))*Microsecond, tick)
 	}
+	return g
+}
 
+// sparseStep is one call boundary of a sparse ride; single marks a call
+// that should advance exactly one round.
+type sparseStep struct {
+	until  Time
+	single bool
+}
+
+// sparseSteps is the seeded mix of single-round and multi-round calls a
+// sparse ride advances in.
+func sparseSteps(seed int64) []sparseStep {
+	const horizon = Time(200 * Millisecond)
+	steps := NewRNG(seed).Fork("steps")
+	var out []sparseStep
+	for now := Time(0); now < horizon; {
+		st := sparseStep{until: now.Add(sparseLookahead), single: steps.Intn(3) != 0}
+		if !st.single {
+			st.until = now.Add(Duration(1+steps.Intn(25)) * sparseLookahead)
+		}
+		if st.until > horizon {
+			st.until = horizon
+		}
+		out = append(out, st)
+		now = st.until
+	}
+	return out
+}
+
+// sparseRun is the outcome of one sparse ride.
+type sparseRun struct {
+	sig []string
+	// rounds with exactly one / several domains firing events, among
+	// the calls that advanced exactly one round (whole-graph rides).
+	oneActive, multiActive int
+}
+
+// sparseWhole rides a sparse graph with Run, checking after each call
+// that every domain's clock equals the coordinator's.
+func sparseWhole(t *testing.T, seed int64) sparseRun {
+	t.Helper()
+	g := newSparseGraph(seed)
 	var res sparseRun
-	steps := rng.Fork("steps")
-	executed := make([]int64, nDom)
-	for c.Now() < horizon {
-		until := c.Now().Add(lookahead)
-		single := steps.Intn(3) != 0
-		if !single {
-			until = c.Now().Add(Duration(1+steps.Intn(25)) * lookahead)
-		}
-		if until > horizon {
-			until = horizon
-		}
-		rounds := c.Rounds()
-		for i, d := range doms {
+	executed := make([]int64, len(g.doms))
+	for _, st := range sparseSteps(seed) {
+		rounds := g.c.Rounds()
+		for i, d := range g.doms {
 			executed[i] = d.Loop.Executed()
 		}
-		c.Run(until)
-		for _, d := range doms {
-			if d.Loop.Now() != c.Now() {
+		g.c.Run(st.until)
+		for _, d := range g.doms {
+			if d.Loop.Now() != g.c.Now() {
 				t.Fatalf("after Run(%v): domain %s clock %v, coordinator %v",
-					until, d.Name(), d.Loop.Now(), c.Now())
+					st.until, d.Name(), d.Loop.Now(), g.c.Now())
 			}
 		}
-		if single && c.Rounds()-rounds == 1 {
+		if st.single && g.c.Rounds()-rounds == 1 {
 			fired := 0
-			for i, d := range doms {
+			for i, d := range g.doms {
 				if d.Loop.Executed() != executed[i] {
 					fired++
 				}
@@ -325,47 +367,78 @@ func sparseSignature(t *testing.T, seed int64, parallel bool) sparseRun {
 			}
 		}
 	}
-	for i := range logs {
-		res.sig = append(res.sig, logs[i]...)
+	for i := range g.logs {
+		res.sig = append(res.sig, g.logs[i]...)
 	}
 	return res
 }
 
-// TestCoordinatorSparseParity pins the round loop's skip-idle path on
-// graphs where most domains are idle in most rounds and many rounds have
-// a single active domain: the serial and parallel coordinators' (the
-// latter collecting barrier waits) per-domain event logs must match
-// entry for entry, and every clock must sit on the coordinator's after
-// each Run call.
-func TestCoordinatorSparseParity(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		serial := sparseSignature(t, seed, false)
-		par := sparseSignature(t, seed, true)
-		if serial.oneActive == 0 || serial.multiActive == 0 {
-			t.Fatalf("seed %d: harness gave %d single-active and %d multi-active rounds; want both",
-				seed, serial.oneActive, serial.multiActive)
-		}
-		if len(serial.sig) != len(par.sig) {
-			t.Fatalf("seed %d: log length %d (serial) != %d (parallel)",
-				seed, len(serial.sig), len(par.sig))
-		}
-		for i := range serial.sig {
-			if serial.sig[i] != par.sig[i] {
-				t.Fatalf("seed %d: first divergence at entry %d:\n serial: %s\n parallel: %s",
-					seed, i, serial.sig[i], par.sig[i])
+// sparsePartitioned rides SPMD replicas of the sparse graph with
+// RunPartitioned across two processes, the first owning the even
+// domains, on the same call boundaries, and returns the signature
+// stitched from each domain's owner. After each call every owned clock
+// must equal the coordinator's.
+func sparsePartitioned(t *testing.T, seed int64) []string {
+	t.Helper()
+	const nProc = 2
+	graphs := make([]*sparseGraph, nProc)
+	for p := range graphs {
+		graphs[p] = newSparseGraph(seed)
+	}
+	clockErr := make([]string, nProc)
+	runProcs(t, nProc, func(p int, bus PeerBus) error {
+		g := graphs[p]
+		owned := func(d *Domain) bool { return d.id%nProc == p }
+		for _, st := range sparseSteps(seed) {
+			if err := g.c.RunPartitioned(st.until, owned, bus); err != nil {
+				return err
+			}
+			for _, d := range g.doms {
+				if owned(d) && d.Loop.Now() != g.c.Now() && clockErr[p] == "" {
+					clockErr[p] = fmt.Sprintf("after RunPartitioned(%v): domain %s clock %v, coordinator %v",
+						st.until, d.Name(), d.Loop.Now(), g.c.Now())
+				}
 			}
 		}
+		return nil
+	})
+	for p, msg := range clockErr {
+		if msg != "" {
+			t.Fatalf("proc %d: %s", p, msg)
+		}
+	}
+	var sig []string
+	for i := range graphs[0].logs {
+		sig = append(sig, graphs[i%nProc].logs[i]...)
+	}
+	return sig
+}
+
+// TestCoordinatorSparseParity pins the round loop's skip-idle path on
+// graphs where most domains are idle in most rounds and many rounds have
+// a single active domain: Run and RunPartitioned over an in-memory
+// two-process bus, sliced at the same seeded call boundaries, must
+// produce the same per-domain event logs entry for entry, and every
+// clock must sit on the coordinator's after each call.
+func TestCoordinatorSparseParity(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		whole := sparseWhole(t, seed)
+		if whole.oneActive == 0 || whole.multiActive == 0 {
+			t.Fatalf("seed %d: harness gave %d single-active and %d multi-active rounds; want both",
+				seed, whole.oneActive, whole.multiActive)
+		}
+		compareSig(t, seed, "2-proc", whole.sig, sparsePartitioned(t, seed))
 	}
 }
 
-// TestWaitStatsSkippedDomains pins the barrier-wait semantics: a domain
-// records a round (and a wait) only in rounds where it was active, a
-// domain that is never active records nothing, and a serial coordinator
-// records nothing at all.
+// TestWaitStatsSkippedDomains pins the barrier-wait semantics under Run
+// and under RunPartitioned: a domain records a round (and a wait) only
+// in rounds where it was active, and a domain that is never active —
+// or that another process executes — records nothing.
 func TestWaitStatsSkippedDomains(t *testing.T) {
 	const lookahead = 200 * Microsecond
-	for _, parallel := range []bool{false, true} {
-		c := NewCoordinator(lookahead, parallel)
+	build := func() *Coordinator {
+		c := NewCoordinator(lookahead)
 		a := c.NewDomain("a")
 		b := c.NewDomain("b")
 		c.NewDomain("idle")
@@ -377,32 +450,53 @@ func TestWaitStatsSkippedDomains(t *testing.T) {
 		b.Loop.At(Time(5*lookahead), func() {})
 		b.Loop.At(Time(6*lookahead), func() {})
 		c.EnableWaitStats()
-		c.Run(Time(20 * lookahead))
-		want := map[string]int64{"a": 10, "b": 2, "idle": 0}
-		if !parallel {
-			want = map[string]int64{"a": 0, "b": 0, "idle": 0}
-		}
+		return c
+	}
+	want := map[string]int64{"a": 10, "b": 2, "idle": 0}
+	check := func(label string, c *Coordinator, owned func(name string) bool) {
 		for _, ws := range c.WaitStats() {
 			var inBuckets int64
 			for _, n := range ws.Buckets {
 				inBuckets += n
 			}
-			if ws.Rounds != want[ws.Domain] || inBuckets != ws.Rounds {
-				t.Errorf("parallel=%v: domain %s recorded %d rounds (%d in buckets), want %d",
-					parallel, ws.Domain, ws.Rounds, inBuckets, want[ws.Domain])
+			w := want[ws.Domain]
+			if !owned(ws.Domain) {
+				w = 0
+			}
+			if ws.Rounds != w || inBuckets != ws.Rounds {
+				t.Errorf("%s: domain %s recorded %d rounds (%d in buckets), want %d",
+					label, ws.Domain, ws.Rounds, inBuckets, w)
 			}
 			if ws.Rounds == 0 && (ws.SumNs != 0 || ws.MaxNs != 0) {
-				t.Errorf("parallel=%v: domain %s recorded waits %d/%d ns in no round",
-					parallel, ws.Domain, ws.SumNs, ws.MaxNs)
+				t.Errorf("%s: domain %s recorded waits %d/%d ns in no round",
+					label, ws.Domain, ws.SumNs, ws.MaxNs)
 			}
 		}
 		if c.Rounds() < 10 {
-			t.Errorf("parallel=%v: %d coordinator rounds, want at least 10", parallel, c.Rounds())
+			t.Errorf("%s: %d coordinator rounds, want at least 10", label, c.Rounds())
 		}
+	}
+
+	c := build()
+	c.Run(Time(20 * lookahead))
+	check("Run", c, func(string) bool { return true })
+
+	// Process 0 executes a and idle, process 1 executes b.
+	coords := []*Coordinator{build(), build()}
+	ownedBy := func(p int) func(string) bool {
+		return func(name string) bool { return (name == "b") == (p == 1) }
+	}
+	runProcs(t, len(coords), func(p int, bus PeerBus) error {
+		owned := ownedBy(p)
+		return coords[p].RunPartitioned(Time(20*lookahead),
+			func(d *Domain) bool { return owned(d.Name()) }, bus)
+	})
+	for p, c := range coords {
+		check(fmt.Sprintf("RunPartitioned proc %d", p), c, ownedBy(p))
 	}
 }
 
-// roundBenchCoordinator builds a 25-domain parallel coordinator chained
+// roundBenchCoordinator builds a 25-domain coordinator chained
 // by mailboxes both ways between neighbours, as on a corridor, where
 // active domains (spread along the chain) each fire one
 // self-rescheduling event per lookahead and the rest stay idle. The
@@ -410,7 +504,7 @@ func TestWaitStatsSkippedDomains(t *testing.T) {
 func roundBenchCoordinator(active int) *Coordinator {
 	const nDom = 25
 	const lookahead = 200 * Microsecond
-	c := NewCoordinator(lookahead, true)
+	c := NewCoordinator(lookahead)
 	doms := make([]*Domain, nDom)
 	for i := range doms {
 		doms[i] = c.NewDomain(fmt.Sprintf("d%d", i))
@@ -426,7 +520,7 @@ func roundBenchCoordinator(active int) *Coordinator {
 		l.At(Time(lookahead), tick)
 	}
 	// Warm up: the first Run sizes the round state.
-	c.RunFor(10 * lookahead)
+	c.Run(c.Now().Add(10 * lookahead))
 	return c
 }
 
@@ -440,7 +534,7 @@ func BenchmarkCoordinatorRound(b *testing.B) {
 			rounds := c.Rounds()
 			b.ReportAllocs()
 			b.ResetTimer()
-			c.RunFor(Duration(b.N) * c.Lookahead())
+			c.Run(c.Now().Add(Duration(b.N) * c.Lookahead()))
 			b.StopTimer()
 			if got := c.Rounds() - rounds; got != int64(b.N) {
 				b.Fatalf("%d rounds for %d ops", got, b.N)
@@ -456,7 +550,7 @@ func TestCoordinatorRoundAllocs(t *testing.T) {
 	}
 	for _, active := range []int{2, 25} {
 		c := roundBenchCoordinator(active)
-		if n := testing.AllocsPerRun(50, func() { c.RunFor(20 * c.Lookahead()) }); n != 0 {
+		if n := testing.AllocsPerRun(50, func() { c.Run(c.Now().Add(20 * c.Lookahead())) }); n != 0 {
 			t.Errorf("%d active: %v allocs per 20-round Run", active, n)
 		}
 	}

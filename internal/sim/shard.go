@@ -29,15 +29,14 @@ import "fmt"
 //     envelopes from the local pending slice and remote→owned ones by
 //     decoding the sender's batch; discard owned→remote (already sent)
 //     and ignore remote→remote batches.
-//  4. advance: compute the round end exactly as Run does (width =
-//     lookahead, idle fast-forward to next-L, clamp to until), run the
-//     owned loops serially to it.
+//  4. advance: the rest of Run's round (runRounds, whose opening
+//     barrier steps 1–3 are), restricted to the owned domains.
 //
-// After the loop a final flush round (an exchange with Flush set and no
-// clock advance) delivers envelopes produced in the last round, leaving
-// every mailbox empty at the call boundary — exactly the state Run
-// leaves behind, so partitioned and single-process runs may be sliced
-// at the same virtual times interchangeably.
+// The closing barrier is a flush round (an exchange with Flush set and
+// no clock advance) that delivers envelopes produced in the last round,
+// leaving every mailbox empty at the call boundary — exactly the state
+// Run leaves behind, so partitioned and single-process runs may be
+// sliced at the same virtual times interchangeably.
 //
 // Because the round ends, the mailbox drain order and the per-loop
 // event sequence numbers are all pure functions of the same exchanged
@@ -119,33 +118,7 @@ func (c *Coordinator) RunPartitioned(until Time, owned func(*Domain) bool, bus P
 		clearPending(m)
 	}
 
-	for c.now < until {
-		next, hasNext, err := c.exchangeRound(own, bus, false)
-		if err != nil {
-			return err
-		}
-		end := c.now.Add(c.lookahead)
-		if !hasNext {
-			end = until
-		} else if s := next.Add(-c.lookahead); s > end {
-			end = s
-		}
-		if end > until {
-			end = until
-		}
-		for _, d := range c.domains {
-			if own[d.id] {
-				d.Loop.Run(end)
-			}
-		}
-		c.now = end
-		c.rounds++
-	}
-
-	// Flush: deliver what the final round produced, leaving every
-	// mailbox empty — the state Run leaves at a call boundary.
-	_, _, err := c.exchangeRound(own, bus, true)
-	return err
+	return c.runRounds(until, own, bus)
 }
 
 // exchangeRound performs steps 1–3 of the round protocol and returns

@@ -24,10 +24,11 @@ type BenchResult struct {
 	Runs int64 `json:"runs"`
 	// NsPerOp is wall-clock nanoseconds per iteration.
 	NsPerOp float64 `json:"ns_per_op"`
-	// BytesPerOp / AllocsPerOp are present when the benchmark ran with
-	// -benchmem or b.ReportAllocs().
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// BytesPerOp / AllocsPerOp are present (non-nil) when the benchmark
+	// ran with -benchmem or b.ReportAllocs(); a present zero is a
+	// reading, and in a baseline a zero budget, not an absence.
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds custom b.ReportMetric units (e.g. "Mbps").
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
@@ -71,9 +72,9 @@ func ParseBench(r io.Reader) ([]BenchResult, error) {
 			case "ns/op":
 				res.NsPerOp = v
 			case "B/op":
-				res.BytesPerOp = v
+				res.BytesPerOp = &v
 			case "allocs/op":
-				res.AllocsPerOp = v
+				res.AllocsPerOp = &v
 			case "MB/s":
 				setMetric(&res, "MB/s", v)
 			default:
@@ -105,10 +106,10 @@ const GateSlack = 1.10
 
 // Gate holds each result to the baseline entry of the same name:
 // allocs/op and bytes/op may each exceed the baseline's by at most
-// GateSlack. A metric is gated only when both sides carry it (results
-// run without -benchmem carry neither). Gate returns one report line per
-// gated metric, how many metrics it gated, and whether all were within
-// budget.
+// GateSlack, so a zero budget admits nothing above zero. A metric is
+// gated only when both sides carry it (results run without -benchmem
+// carry neither). Gate returns one report line per gated metric, how
+// many metrics it gated, and whether all were within budget.
 func Gate(baseline, results []BenchResult) (report []string, gated int, ok bool) {
 	base := make(map[string]BenchResult, len(baseline))
 	for _, b := range baseline {
@@ -122,22 +123,23 @@ func Gate(baseline, results []BenchResult) (report []string, gated int, ok bool)
 		}
 		for _, m := range []struct {
 			unit      string
-			got, want float64
+			got, want *float64
 		}{
 			{"allocs/op", r.AllocsPerOp, b.AllocsPerOp},
 			{"B/op", r.BytesPerOp, b.BytesPerOp},
 		} {
-			if m.got == 0 || m.want == 0 {
+			if m.got == nil || m.want == nil {
 				continue
 			}
 			gated++
-			if m.got > m.want*GateSlack {
+			got, want := *m.got, *m.want
+			if got > want*GateSlack {
 				ok = false
 				report = append(report, fmt.Sprintf("FAIL %s: %.0f %s > budget %.0f +%.0f%%",
-					r.Name, m.got, m.unit, m.want, (GateSlack-1)*100))
+					r.Name, got, m.unit, want, (GateSlack-1)*100))
 			} else {
 				report = append(report, fmt.Sprintf("ok %s: %.0f %s (budget %.0f)",
-					r.Name, m.got, m.unit, m.want))
+					r.Name, got, m.unit, want))
 			}
 		}
 	}

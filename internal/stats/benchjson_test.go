@@ -31,7 +31,7 @@ func TestParseBench(t *testing.T) {
 	if r.Name != "BenchmarkMeanPerClientMbps" || r.Procs != 4 || r.Runs != 3 {
 		t.Errorf("first record header = %q/%d/%d", r.Name, r.Procs, r.Runs)
 	}
-	if r.NsPerOp != 412345678 || r.BytesPerOp != 123456 || r.AllocsPerOp != 7890 {
+	if r.NsPerOp != 412345678 || *r.BytesPerOp != 123456 || *r.AllocsPerOp != 7890 {
 		t.Errorf("first record values = %+v", r)
 	}
 	if r.Metrics["Mbps"] != 21.50 {
@@ -41,7 +41,7 @@ func TestParseBench(t *testing.T) {
 	if r.Name != "BenchmarkEffectiveSNRdB" || r.Procs != 1 {
 		t.Errorf("second record header = %q/%d", r.Name, r.Procs)
 	}
-	if r.NsPerOp != 158.8 || r.AllocsPerOp != 0 {
+	if r.NsPerOp != 158.8 || r.AllocsPerOp == nil || *r.AllocsPerOp != 0 {
 		t.Errorf("second record values = %+v", r)
 	}
 }
@@ -64,14 +64,20 @@ func TestWriteBenchJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// withMem is r carrying allocs/op and B/op readings.
+func withMem(r BenchResult, allocs, bytes float64) BenchResult {
+	r.AllocsPerOp, r.BytesPerOp = &allocs, &bytes
+	return r
+}
+
 // TestGate pins the CI budget gate: allocs/op and bytes/op each fail
 // past GateSlack over the baseline, independently, and results without
 // a baseline entry or without -benchmem figures are not gated.
 func TestGate(t *testing.T) {
 	base := []BenchResult{
-		{Name: "BenchmarkA", AllocsPerOp: 1000, BytesPerOp: 1 << 20},
-		{Name: "BenchmarkB", AllocsPerOp: 1000, BytesPerOp: 1 << 20},
-		{Name: "BenchmarkC", AllocsPerOp: 1000, BytesPerOp: 1 << 20},
+		withMem(BenchResult{Name: "BenchmarkA"}, 1000, 1<<20),
+		withMem(BenchResult{Name: "BenchmarkB"}, 1000, 1<<20),
+		withMem(BenchResult{Name: "BenchmarkC"}, 1000, 1<<20),
 	}
 	for _, tc := range []struct {
 		name      string
@@ -79,11 +85,11 @@ func TestGate(t *testing.T) {
 		wantGated int
 		wantOK    bool
 	}{
-		{"within budget", []BenchResult{{Name: "BenchmarkA", AllocsPerOp: 1099, BytesPerOp: 1.09 * (1 << 20)}}, 2, true},
-		{"allocs over", []BenchResult{{Name: "BenchmarkA", AllocsPerOp: 1101, BytesPerOp: 1 << 20}}, 2, false},
-		{"bytes over", []BenchResult{{Name: "BenchmarkB", AllocsPerOp: 900, BytesPerOp: 1.11 * (1 << 20)}}, 2, false},
+		{"within budget", []BenchResult{withMem(BenchResult{Name: "BenchmarkA"}, 1099, 1.09*(1<<20))}, 2, true},
+		{"allocs over", []BenchResult{withMem(BenchResult{Name: "BenchmarkA"}, 1101, 1<<20)}, 2, false},
+		{"bytes over", []BenchResult{withMem(BenchResult{Name: "BenchmarkB"}, 900, 1.11*(1<<20))}, 2, false},
 		{"no benchmem", []BenchResult{{Name: "BenchmarkC", NsPerOp: 5}}, 0, true},
-		{"no baseline", []BenchResult{{Name: "BenchmarkZ", AllocsPerOp: 1e9, BytesPerOp: 1e12}}, 0, true},
+		{"no baseline", []BenchResult{withMem(BenchResult{Name: "BenchmarkZ"}, 1e9, 1e12)}, 0, true},
 	} {
 		report, gated, ok := Gate(base, tc.results)
 		if gated != tc.wantGated || ok != tc.wantOK {
@@ -92,6 +98,42 @@ func TestGate(t *testing.T) {
 		}
 		if len(report) != gated {
 			t.Errorf("%s: %d report lines for %d gated metrics", tc.name, len(report), gated)
+		}
+	}
+}
+
+// TestGateZeroBudget pins that a zero budget is enforced: a baseline
+// entry that records 0 allocs/op and 0 B/op — kept through the JSON
+// round trip, not dropped as empty — fails any result above zero and
+// passes a zero reading, while an entry without the fields gates
+// nothing.
+func TestGateZeroBudget(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBenchJSON(&buf, []BenchResult{
+		withMem(BenchResult{Name: "BenchmarkZero"}, 0, 0),
+		{Name: "BenchmarkAbsent", NsPerOp: 5},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var base []BenchResult
+	if err := json.Unmarshal(buf.Bytes(), &base); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		result    BenchResult
+		wantGated int
+		wantOK    bool
+	}{
+		{"zero reading", withMem(BenchResult{Name: "BenchmarkZero"}, 0, 0), 2, true},
+		{"one alloc", withMem(BenchResult{Name: "BenchmarkZero"}, 1, 0), 2, false},
+		{"bytes only", withMem(BenchResult{Name: "BenchmarkZero"}, 0, 8), 2, false},
+		{"absent budget", withMem(BenchResult{Name: "BenchmarkAbsent"}, 1e6, 1e9), 0, true},
+	} {
+		report, gated, ok := Gate(base, []BenchResult{tc.result})
+		if gated != tc.wantGated || ok != tc.wantOK {
+			t.Errorf("%s: gated=%d ok=%v, want gated=%d ok=%v\n%s",
+				tc.name, gated, ok, tc.wantGated, tc.wantOK, strings.Join(report, "\n"))
 		}
 	}
 }

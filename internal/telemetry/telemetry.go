@@ -18,15 +18,14 @@
 //     from completion order, so output is a pure function of the
 //     simulated schedule.
 //
-//  3. Domain safe. A Registry is split into shards: each parallel
-//     segment domain owns one shard and only that domain's goroutine
-//     touches it between coordinator barriers (the same ownership rule
-//     as every other per-domain structure), so counters are plain
-//     int64, not atomics. Snapshot merges the shards after the
-//     coordinator has joined its workers, which is also the
-//     happens-before edge that makes the plain fields visible.
-//     Because instrumented code only appends to its own shard,
-//     DomainsSerial and DomainsParallel stay bit-identical.
+//  3. Domain safe. A Registry is split into shards: each segment
+//     domain owns one shard and only that domain's events touch it
+//     between coordinator barriers (the same ownership rule as every
+//     other per-domain structure), so counters are plain int64, not
+//     atomics. Snapshot merges the shards between coordinator runs.
+//     Because instrumented code only appends to its own shard, a
+//     partitioned run's per-process shards merge to the in-process
+//     run's snapshot bit for bit.
 //
 // Registration (Scope.Counter etc.) is build-time only: single
 // goroutine, before the simulation runs. GaugeFunc callbacks run only
@@ -274,8 +273,8 @@ func (r *Registry) Scope(prefix string) Scope {
 	return Scope{sh: r.shards[0], prefix: prefix}
 }
 
-// NewShard creates a shard for one parallel domain and returns its
-// scope. Only the owning domain's goroutine may record into handles
+// NewShard creates a shard for one event-loop domain and returns its
+// scope. Only the owning domain's events may record into handles
 // registered through it.
 func (r *Registry) NewShard(prefix string) Scope {
 	if r == nil {
@@ -398,8 +397,8 @@ func (s Scope) Sample(now sim.Time) {
 
 // Snapshot evaluates gauge callbacks and merges every shard into a
 // sorted, self-contained Snapshot. Call only while the simulation is
-// quiescent (after Run returns): that is both the determinism rule for
-// GaugeFunc reads and the memory-visibility edge for parallel domains.
+// quiescent (after Run returns): that is the determinism rule for
+// GaugeFunc reads.
 func (r *Registry) Snapshot(at sim.Time) *Snapshot {
 	return r.SnapshotShards(at, nil)
 }

@@ -62,7 +62,7 @@ func RegisterFlags(fs *flag.FlagSet, o *DeployOptions) {
 	fs.StringVar(&o.Audibility, "audibility", o.Audibility,
 		"medium receiver lookup: index (default) | scan")
 	fs.BoolVar(&o.ParallelSegments, "parallel-segments", o.ParallelSegments,
-		"run each road segment as its own parallel event-loop domain (multi-segment WGTT, udp/tcp/conference workloads)")
+		"run each road segment as its own event-loop domain, conservatively synchronized with its neighbours (multi-segment WGTT, udp/tcp/conference workloads)")
 	fs.BoolVar(&o.BoundaryInterference, "boundary-interference", o.BoundaryInterference,
 		"exchange boundary-zone co-channel interference between adjacent segment domains (needs -parallel-segments and >= 2 segments)")
 	fs.BoolVar(&o.Federation, "federation", o.Federation,
@@ -191,7 +191,7 @@ func (o DeployOptions) Config() (Config, error) {
 		cfg.Segments = specs
 	}
 	if o.ParallelSegments {
-		cfg.Domains = DomainsParallel
+		cfg.Domains = DomainsSerial
 	}
 	cfg.Federation.Enabled = o.Federation
 	if o.RingTrunk {

@@ -30,15 +30,9 @@ func TestTelemetryGoldenInvariance(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			opt := Options{Seed: seed, Mutate: telemetryOn}
-			serial := render(corridorRide(opt, core.DomainsSerial))
-			parallel := render(corridorRide(opt, core.DomainsParallel))
-			if serial != goldenCorridor[seed] {
-				t.Errorf("telemetry perturbed the serial-domains corridor\n%s",
-					firstDiffLabeled("want", "got", goldenCorridor[seed], serial))
-			}
-			if parallel != goldenCorridor[seed] {
-				t.Errorf("telemetry perturbed the parallel-domains corridor\n%s",
-					firstDiffLabeled("want", "got", goldenCorridor[seed], parallel))
+			if got := render(corridorRide(opt, core.DomainsSerial)); got != goldenCorridor[seed] {
+				t.Errorf("telemetry perturbed the domain corridor\n%s",
+					firstDiffLabeled("want", "got", goldenCorridor[seed], got))
 			}
 			if got := render(Fig13ThroughputVsSpeed(opt, []float64{15})); got != goldenFig13[seed] {
 				t.Errorf("telemetry perturbed fig13\n%s",

@@ -101,8 +101,8 @@ type (
 func ParseFaultSchedule(s string) (FaultSchedule, error) { return deploy.ParseFaultSchedule(s) }
 
 // DomainMode selects how a multi-segment deployment executes
-// (Config.Domains): one event loop, or per-segment domains run serially
-// or in parallel. See core.DomainMode.
+// (Config.Domains): one event loop, or per-segment domains. See
+// core.DomainMode.
 type DomainMode = core.DomainMode
 
 // Domain modes.
@@ -111,10 +111,10 @@ const (
 	SingleLoop = core.SingleLoop
 	// DomainsSerial partitions per segment but runs on one goroutine.
 	DomainsSerial = core.DomainsSerial
-	// DomainsParallel is DomainsSerial with barrier-wait statistics
-	// available (wgtt-serve's introspection); the rounds themselves run
-	// the same way, on one goroutine, so results are bit-identical.
-	DomainsParallel = core.DomainsParallel
+	// DomainsParallel is DomainsSerial.
+	//
+	// Deprecated: there is one domain runtime; use DomainsSerial.
+	DomainsParallel = DomainsSerial
 )
 
 // DefaultConfig returns the paper's eight-AP testbed configuration.

@@ -211,11 +211,11 @@ func TestStopAndGoTransit(t *testing.T) {
 }
 
 // TestTraceCapturesSwitchRounds rides a two-segment road with the
-// flight recorder on, in one loop and in parallel domains, and requires
+// flight recorder on, in one loop and in segment domains, and requires
 // the stitched records to carry every switch round in protocol order:
 // each completed handoff has issue <= stop <= start <= ack.
 func TestTraceCapturesSwitchRounds(t *testing.T) {
-	for _, mode := range []DomainMode{SingleLoop, DomainsParallel} {
+	for _, mode := range []DomainMode{SingleLoop, DomainsSerial} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := DefaultConfig(SchemeWGTT)
 			cfg.Segments = []SegmentSpec{{NumAPs: 4, APSpacing: 7.5}, {NumAPs: 4, APSpacing: 7.5}}
